@@ -27,7 +27,6 @@
 #include "apps/app.hpp"
 #include "harness.hpp"
 #include "json.hpp"
-#include "tuning/cast_aware.hpp"
 #include "tuning/eval_engine.hpp"
 #include "tuning/search.hpp"
 
@@ -154,9 +153,10 @@ int main() {
     // previous result and clamping probe ranges by monotonicity, so trials
     // are never SUBMITTED rather than merely served from cache. Both sides
     // run on a fresh shared memoized engine so the wall-time comparison is
-    // engine-for-engine fair; the headline acceptance gates (>= 25% fewer
-    // trials on >= 7 of 9 apps, every warm result meeting its epsilon at
-    // per-signal precision <= the independent search's) fail the bench.
+    // engine-for-engine fair. Gates: on every app the warm sweep submits
+    // fewer trials than the independent one, books skipped bisection
+    // steps, and meets each epsilon at per-signal precision <= the
+    // independent search's; >= 25% fewer trials on >= 7 of 9 apps.
     std::printf("\n# warm-started sweep vs independent searches "
                 "(sweep_search, shared memoized engine)\n\n");
     std::printf("%-8s %-9s %-9s %-7s %-9s %-9s %-8s %-7s %s\n", "app",
@@ -164,6 +164,8 @@ int main() {
                 "skipped", "<=ind", "meets");
 
     int apps_with_headline_cut = 0;
+    bool all_cut_trials = true;
+    bool all_skipped_steps = true;
     bool all_meet_epsilon = true;
     bool all_le_independent = true;
     auto warm_json = tp::bench::Json::array();
@@ -215,6 +217,9 @@ int main() {
                                           independent[e].signals[i].precision_bits;
             }
         }
+        all_cut_trials = all_cut_trials && warm_trials < independent_trials;
+        all_skipped_steps =
+            all_skipped_steps && warm_stats.trials_skipped_by_bounds > 0;
         all_meet_epsilon = all_meet_epsilon && meets;
         all_le_independent = all_le_independent && le_independent;
 
@@ -259,8 +264,9 @@ int main() {
     // contract makes the bounded search's signals bit-identical to the
     // cold search's — checked per app — while probe bisections clamp
     // against the derived lower bounds and book their savings in
-    // EvalStats::trials_skipped_by_bounds. Gates: identical signals on
-    // 9/9 apps, skipped trials > 0 on >= 7 of 9.
+    // EvalStats::trials_skipped_by_bounds. Gates: identical signals and
+    // no more program runs than the cold search on 9/9 apps, skipped
+    // trials > 0 on >= 7 of 9.
     std::printf("\n# static bounds — cold single-epsilon search, "
                 "derive_warm_start vs unassisted (epsilon %g)\n\n",
                 tp::bench::kEpsilons.front());
@@ -269,6 +275,7 @@ int main() {
 
     int apps_with_skips = 0;
     bool all_static_identical = true;
+    bool all_static_no_more_runs = true;
     auto static_json = tp::bench::Json::array();
     for (const std::string& app_name : tp::apps::app_names()) {
         auto app = tp::apps::make_app(app_name);
@@ -302,6 +309,8 @@ int main() {
                            cold.signals[i].bound == bounded.signals[i].bound;
         }
         all_static_identical = all_static_identical && same_signals;
+        all_static_no_more_runs = all_static_no_more_runs &&
+                                  bounded.program_runs <= cold.program_runs;
         if (bounded_stats.trials_skipped_by_bounds > 0) ++apps_with_skips;
 
         std::printf("%-8s %-9zu %-9zu %-9zu %-9zu %-8zu %s\n",
@@ -327,86 +336,6 @@ int main() {
     const bool static_skips_gate = apps_with_skips >= 7;
     std::printf("\n%d/9 apps skipped trials via static bounds\n",
                 apps_with_skips);
-
-    // --- Cast-aware delta costing ----------------------------------------
-    // The region-impact cut (analysis/region_impact.hpp +
-    // EvalEngine::report_delta): the cast-aware phase's candidate probes
-    // splice every cost region the static analysis proves untouched by
-    // the probed signal instead of re-accounting it. Both sides run the
-    // same two-phase search on fresh memoized engines; the delta-cost
-    // soundness contract makes the CastAwareResults bit-identical —
-    // checked per app — while the recost/skip split records the removed
-    // work. Gates: identical results on 9/9 apps, region re-costs drop
-    // (regions_skipped_by_impact > 0) on >= 7 of 9 — an app whose whole
-    // trace is one unbroken vector window soundly degenerates to full
-    // recosting.
-    std::printf("\n# cast-aware delta costing — full recost vs "
-                "report_delta (epsilon %g)\n\n",
-                tp::bench::kEpsilons[1]);
-    std::printf("%-8s %-10s %-10s %-9s %-9s %-9s %s\n", "app", "full_rc",
-                "delta_rc", "skipped", "full_s", "delta_s", "identical");
-
-    int apps_with_region_skips = 0;
-    bool all_delta_identical = true;
-    auto delta_json = tp::bench::Json::array();
-    for (const std::string& app_name : tp::apps::app_names()) {
-        auto app = tp::apps::make_app(app_name);
-        tp::tuning::CastAwareOptions ca;
-        ca.search = options_for(tp::bench::kEpsilons[1]);
-        ca.search.input_sets = {0, 1};
-        ca.search.max_passes = 2;
-        ca.max_rounds = 2;
-
-        auto full_options = ca;
-        full_options.delta_cost = false;
-        tp::tuning::EvalEngine full_engine{
-            *app,
-            tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
-        const auto full_start = Clock::now();
-        const auto full = tp::tuning::cast_aware_search(full_engine, full_options);
-        const double full_seconds = seconds_since(full_start);
-
-        tp::tuning::EvalEngine delta_engine{
-            *app,
-            tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
-        const auto delta_start = Clock::now();
-        const auto delta = tp::tuning::cast_aware_search(delta_engine, ca);
-        const double delta_seconds = seconds_since(delta_start);
-
-        const bool matches = identical_results(full.base, delta.base) &&
-                             full.config == delta.config &&
-                             full.base_energy_pj == delta.base_energy_pj &&
-                             full.tuned_energy_pj == delta.tuned_energy_pj &&
-                             full.base_casts == delta.base_casts &&
-                             full.tuned_casts == delta.tuned_casts &&
-                             full.moves_accepted == delta.moves_accepted;
-        all_delta_identical = all_delta_identical && matches;
-        if (delta.eval_stats.regions_skipped_by_impact > 0) {
-            ++apps_with_region_skips;
-        }
-
-        std::printf("%-8s %-10zu %-10zu %-9zu %-9.3f %-9.3f %s\n",
-                    app_name.c_str(), full.eval_stats.regions_recosted,
-                    delta.eval_stats.regions_recosted,
-                    delta.eval_stats.regions_skipped_by_impact, full_seconds,
-                    delta_seconds, matches ? "yes" : "NO");
-
-        delta_json.item_raw(
-            tp::bench::Json::object()
-                .field("app", app_name)
-                .field("full_regions_recosted", full.eval_stats.regions_recosted)
-                .field("delta_regions_recosted",
-                       delta.eval_stats.regions_recosted)
-                .field("regions_skipped_by_impact",
-                       delta.eval_stats.regions_skipped_by_impact)
-                .field("full_wall_seconds", full_seconds)
-                .field("delta_wall_seconds", delta_seconds)
-                .field("bit_identical", matches)
-                .str(2));
-    }
-    const bool delta_skips_gate = apps_with_region_skips >= 7;
-    std::printf("\n%d/9 apps skipped region re-costs via impact analysis\n",
-                apps_with_region_skips);
 
     // --- Arithmetic-backend A/B ------------------------------------------
     // Same uncached sweep with the backend pinned per engine through
@@ -490,8 +419,6 @@ int main() {
                          .raw("sweep_warm_start", warm_json.str(2))
                          .field("apps_with_static_skips", apps_with_skips)
                          .raw("static_bounds", static_json.str(2))
-                         .field("apps_with_region_skips", apps_with_region_skips)
-                         .raw("cast_aware_delta", delta_json.str(2))
                          .raw("backend_ab", backend_json.str(2));
     std::ofstream out{"BENCH_eval_engine.json"};
     out << doc.str() << "\n";
@@ -510,6 +437,15 @@ int main() {
                     "search's precision\n");
         return 1;
     }
+    if (!all_cut_trials) {
+        std::printf("FAIL: a warm-started sweep did not submit fewer trials "
+                    "than the independent searches\n");
+        return 1;
+    }
+    if (!all_skipped_steps) {
+        std::printf("FAIL: a warm-started sweep skipped no bisection steps\n");
+        return 1;
+    }
     if (!headline_cut) {
         std::printf("FAIL: warm-started sweep cut trials by >= 25%% on only "
                     "%d/9 apps (need 7)\n", apps_with_headline_cut);
@@ -519,19 +455,14 @@ int main() {
         std::printf("FAIL: a static-bounds search changed the tuned signals\n");
         return 1;
     }
+    if (!all_static_no_more_runs) {
+        std::printf("FAIL: a static-bounds search submitted more program runs "
+                    "than the cold search\n");
+        return 1;
+    }
     if (!static_skips_gate) {
         std::printf("FAIL: static bounds skipped trials on only %d/9 apps "
                     "(need 7)\n", apps_with_skips);
-        return 1;
-    }
-    if (!all_delta_identical) {
-        std::printf("FAIL: a delta-costed cast-aware search diverged from the "
-                    "full-recost path\n");
-        return 1;
-    }
-    if (!delta_skips_gate) {
-        std::printf("FAIL: delta costing skipped region re-costs on only "
-                    "%d/9 apps (need 7)\n", apps_with_region_skips);
         return 1;
     }
     std::printf("cached and uncached searches returned bit-identical results\n");

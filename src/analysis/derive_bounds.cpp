@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "analysis/error_model.hpp"
-#include "analysis/region_impact.hpp"
 #include "sim/context.hpp"
 #include "tuning/quality.hpp"
 #include "types/encoding.hpp"
@@ -276,7 +275,7 @@ AppAnalysis analyze(apps::App& app, double epsilon,
 
     const auto& table = app.signal_table();
 
-    // Dead-cast check, driven by the cast-site pass (region_impact.hpp):
+    // Dead-cast check, driven by the cast-site pass (lint.hpp):
     // a cast whose source and destination signals are each forced to one
     // and the same member format by the derived bounds elides under every
     // reachable binding — the simulator never materializes it, so the

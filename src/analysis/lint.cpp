@@ -1,9 +1,12 @@
 #include "analysis/lint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <sstream>
 #include <utility>
+
+#include "analysis/signal_flow.hpp"
 
 namespace tp::analysis {
 
@@ -55,9 +58,13 @@ bool double_rounds(FpFormat a, FpFormat i, FpFormat f) noexcept {
            i.precision() < 2 * f.precision() + 2;
 }
 
-bool is_value_cast(const sim::Instr& instr) noexcept {
+bool format_boundary_cast(const sim::Instr& instr) noexcept {
     return instr.kind == sim::InstrKind::FpCast && instr.op != FpOp::FromInt &&
-           instr.op != FpOp::ToInt && instr.has_cast_target();
+           instr.op != FpOp::ToInt;
+}
+
+bool is_value_cast(const sim::Instr& instr) noexcept {
+    return format_boundary_cast(instr) && instr.has_cast_target();
 }
 
 } // namespace
@@ -120,6 +127,28 @@ LintReport lint_trace(const sim::TraceProgram& program) {
         }
     }
     return report;
+}
+
+std::vector<CastSite> collect_cast_sites(const sim::TraceProgram& program,
+                                         std::size_t signal_count) {
+    std::map<std::pair<std::int32_t, std::int32_t>, CastSite> sites;
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        const sim::Instr& instr = program.instrs[i];
+        if (!format_boundary_cast(instr)) continue;
+        const std::int32_t src = signal_of_tag(instr.fmt, signal_count);
+        const std::int32_t dst = signal_of_tag(instr.fmt2, signal_count);
+        const auto [it, inserted] =
+            sites.try_emplace({src, dst}, CastSite{src, dst, i, 0});
+        ++it->second.occurrences;
+    }
+    std::vector<CastSite> result;
+    result.reserve(sites.size());
+    for (const auto& [key, site] : sites) result.push_back(site);
+    std::sort(result.begin(), result.end(),
+              [](const CastSite& a, const CastSite& b) {
+                  return a.first_instr < b.first_instr;
+              });
+    return result;
 }
 
 } // namespace tp::analysis

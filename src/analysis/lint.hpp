@@ -11,10 +11,13 @@
 // them): accumulation chains whose error growth makes the requested
 // epsilon statically infeasible at the precision floor, signals whose
 // entire dynamic range sits below the normal range of the narrow-exponent
-// formats (they would be forced subnormal or flushed), and structural
-// double-rounding hazards between signal bindings.
+// formats (they would be forced subnormal or flushed), structural
+// double-rounding hazards between signal bindings, and dead casts — cast
+// sites (collect_cast_sites) whose endpoints the derived bounds pin to
+// one format.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,6 +67,24 @@ struct LintReport {
 /// Duplicate findings (the same cast site re-executed each loop iteration)
 /// are folded into one diagnostic with an occurrence count.
 [[nodiscard]] LintReport lint_trace(const sim::TraceProgram& program);
+
+/// One static cast site observed in a tagged capture, folded over its
+/// dynamic executions: the producing (source-format) and consuming
+/// (target-format) signals. Int<->FP conversions are excluded — they are
+/// structural, not format-boundary, casts. kUnknownSignal endpoints mark
+/// casts whose tags resolved to no signal.
+struct CastSite {
+    std::int32_t src_signal = -1;
+    std::int32_t dst_signal = -1;
+    std::size_t first_instr = 0; // first occurrence in the capture
+    std::size_t occurrences = 0; // dynamic executions of the site
+};
+
+/// The cast-site pass (the dead-cast lint's input): every
+/// format-boundary FpCast in a tagged capture (analysis::capture_trace),
+/// folded per (src, dst) signal pair in first-occurrence order.
+[[nodiscard]] std::vector<CastSite> collect_cast_sites(
+    const sim::TraceProgram& program, std::size_t signal_count);
 
 /// "e<exp>m<mant>" with the paper's name appended when the format is one
 /// of the named four (diagnostic texts).

@@ -1,207 +1,14 @@
 #include "sim/platform.hpp"
 
-#include <cassert>
 #include <ostream>
 
 #include "fpu/latency_model.hpp"
 #include "sim/pipeline.hpp"
 
 namespace tp::sim {
-namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// Accounting-role tags mixed into a region signature so member/last/
-/// scalar sequences cannot alias each other.
-enum : std::uint64_t {
-    kSigGroupMember = 1, // SIMD group member, not the issuing slot
-    kSigGroupLast = 2,   // the group's issuing slot
-    kSigScalar = 3,
-};
-
-class SignatureHash {
-public:
-    void mix(std::uint64_t v) noexcept {
-        hash_ = (hash_ ^ v) * kFnvPrime;
-    }
-    void mix_format(FpFormat fmt) noexcept {
-        mix(fmt.exp_bits);
-        mix(fmt.mant_bits);
-    }
-    [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
-private:
-    std::uint64_t hash_ = kFnvOffset;
-};
-
-/// One pass over a region: counters + energy into `cost` (when non-null)
-/// and the cost-relevant sequence into `sig`. The signature covers every
-/// input the accounting reads — instruction kind/op/formats/bytes and, at
-/// a group's issuing slot, the group's kind/op/format/lanes/bytes — and
-/// nothing position- or value-id-dependent, so traces that differ only in
-/// absolute indices or SSA numbering still match.
-void walk_region(const TraceProgram& program, const CostRegion& region,
-                 const fpu::EnergyModel& model, const CoreParams& core,
-                 RegionCost* cost, SignatureHash& sig) {
-    const auto addr_ops = static_cast<std::uint64_t>(core.addr_ops_per_access);
-    const double addr_energy = core.addr_ops_per_access * model.int_op;
-
-    for (std::size_t i = region.begin; i < region.end; ++i) {
-        const Instr& instr = program.instrs[i];
-
-        if (instr.simd_group != 0) {
-            const SimdGroup& group = program.groups[instr.simd_group - 1];
-            if (group.last_index != i) {
-                sig.mix(kSigGroupMember);
-                continue; // account once per group
-            }
-            // Members are adjacent and end at the issuing slot, so the
-            // whole group lies inside this region (groups contain no
-            // branches, and regions break only after branches).
-            assert(i + 1 >= static_cast<std::size_t>(group.lanes) &&
-                   i + 1 - static_cast<std::size_t>(group.lanes) >=
-                       region.begin &&
-                   "SIMD groups never straddle a cost region");
-            sig.mix(kSigGroupLast);
-            sig.mix(static_cast<std::uint64_t>(group.kind));
-            sig.mix(static_cast<std::uint64_t>(group.op));
-            sig.mix_format(group.fmt);
-            sig.mix(static_cast<std::uint64_t>(group.lanes));
-            sig.mix(static_cast<std::uint64_t>(group.bytes));
-            if (cost == nullptr) continue;
-            switch (group.kind) {
-            case InstrKind::FpArith: {
-                ++cost->fp_simd_instrs;
-                cost->fp_simd_lane_ops += static_cast<std::uint64_t>(group.lanes);
-                auto& activity = cost->per_format[group.fmt];
-                activity.vector_ops += static_cast<std::uint64_t>(group.lanes);
-                ++activity.vector_instrs;
-                cost->energy.fp_ops +=
-                    model.fp_op_simd(group.op, group.fmt, group.lanes) +
-                    model.idle_slice *
-                        fpu::EnergyModel::idle_slices(group.fmt, group.lanes) +
-                    model.fpu_reg_move;
-                break;
-            }
-            case InstrKind::Load:
-            case InstrKind::Store: {
-                ++cost->mem_accesses;
-                ++cost->mem_accesses_vector;
-                cost->mem_bytes += static_cast<std::uint64_t>(group.bytes);
-                cost->energy.memory += model.mem_access(group.bytes);
-                cost->addr_int_ops += addr_ops;
-                cost->energy.other += addr_energy;
-                break;
-            }
-            default: break;
-            }
-            continue;
-        }
-
-        sig.mix(kSigScalar);
-        sig.mix(static_cast<std::uint64_t>(instr.kind));
-        sig.mix(static_cast<std::uint64_t>(instr.op));
-        sig.mix_format(instr.fmt);
-        sig.mix_format(instr.fmt2);
-        sig.mix(instr.bytes);
-        if (cost == nullptr) continue;
-
-        switch (instr.kind) {
-        case InstrKind::IntAlu:
-            ++cost->int_ops;
-            cost->energy.other += model.int_op;
-            break;
-        case InstrKind::Branch:
-            ++cost->branches;
-            cost->energy.other += model.branch_op;
-            break;
-        case InstrKind::Load:
-        case InstrKind::Store:
-            ++cost->mem_accesses;
-            cost->mem_bytes += instr.bytes;
-            cost->energy.memory += model.mem_access(instr.bytes);
-            cost->addr_int_ops += addr_ops;
-            cost->energy.other += addr_energy;
-            break;
-        case InstrKind::FpArith: {
-            ++cost->fp_ops;
-            auto& activity = cost->per_format[instr.fmt];
-            ++activity.scalar_ops;
-            cost->energy.fp_ops +=
-                model.fp_op(instr.op, instr.fmt) +
-                model.idle_slice * fpu::EnergyModel::idle_slices(instr.fmt, 1) +
-                model.fpu_reg_move;
-            break;
-        }
-        case InstrKind::FpCast:
-            ++cost->casts;
-            cost->cast_cycles +=
-                static_cast<std::uint64_t>(fpu::cast_latency_cycles());
-            cost->energy.fp_ops += model.cast(instr.fmt, instr.fmt2);
-            break;
-        }
-    }
-}
-
-} // namespace
-
-std::size_t segments_per_cost_region(std::uint64_t branch_count) noexcept {
-    const std::uint64_t segments = branch_count + 1;
-    return static_cast<std::size_t>((segments + kMaxCostRegions - 1) /
-                                    kMaxCostRegions);
-}
-
-std::vector<CostRegion> cost_regions(const TraceProgram& program) {
-    std::uint64_t branch_count = 0;
-    for (const Instr& instr : program.instrs) {
-        branch_count += instr.kind == InstrKind::Branch ? 1 : 0;
-    }
-    const std::size_t per_region = segments_per_cost_region(branch_count);
-
-    std::vector<CostRegion> regions;
-    regions.reserve(
-        static_cast<std::size_t>(branch_count / per_region) + 1);
-    std::size_t begin = 0;
-    std::uint64_t branches_seen = 0;
-    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
-        if (program.instrs[i].kind != InstrKind::Branch) continue;
-        if (++branches_seen % per_region == 0) {
-            regions.push_back(CostRegion{begin, i + 1});
-            begin = i + 1;
-        }
-    }
-    // The trailing region is emitted even when empty: the region COUNT
-    // must be a pure function of the branch count, so traces with equal
-    // branch skeletons partition identically (the delta path's
-    // correspondence gate).
-    regions.push_back(CostRegion{begin, program.instrs.size()});
-    return regions;
-}
-
-RegionCost cost_region(const TraceProgram& program, const CostRegion& region,
-                       const fpu::EnergyModel& model, const CoreParams& core) {
-    RegionCost cost;
-    cost.begin = region.begin;
-    cost.end = region.end;
-    SignatureHash sig;
-    walk_region(program, region, model, core, &cost, sig);
-    cost.signature = sig.value();
-    return cost;
-}
-
-std::uint64_t region_signature(const TraceProgram& program,
-                               const CostRegion& region) {
-    SignatureHash sig;
-    walk_region(program, region, fpu::default_energy_model(), CoreParams{},
-                nullptr, sig);
-    return sig.value();
-}
-
-RunReport assemble_regions(const TraceProgram& program,
-                           const std::vector<RegionCost>& regions,
-                           const fpu::EnergyModel& model,
-                           const CoreParams& core) {
+RunReport simulate(const TraceProgram& program, const fpu::EnergyModel& model,
+                   const CoreParams& core) {
     RunReport report;
 
     const PipelineResult timing =
@@ -210,50 +17,82 @@ RunReport assemble_regions(const TraceProgram& program,
     report.stall_cycles = timing.stall_cycles;
     report.issue_slots = timing.issue_slots;
 
-    for (const RegionCost& cost : regions) {
-        report.mem_accesses += cost.mem_accesses;
-        report.mem_accesses_vector += cost.mem_accesses_vector;
-        report.mem_bytes += cost.mem_bytes;
-        report.fp_ops += cost.fp_ops;
-        report.fp_simd_instrs += cost.fp_simd_instrs;
-        report.fp_simd_lane_ops += cost.fp_simd_lane_ops;
-        report.casts += cost.casts;
-        report.cast_cycles += cost.cast_cycles;
-        report.int_ops += cost.int_ops;
-        report.addr_int_ops += cost.addr_int_ops;
-        report.branches += cost.branches;
-        for (const auto& [fmt, activity] : cost.per_format) {
-            auto& total = report.per_format[fmt];
-            total.scalar_ops += activity.scalar_ops;
-            total.vector_ops += activity.vector_ops;
-            total.vector_instrs += activity.vector_instrs;
+    const auto addr_ops = static_cast<std::uint64_t>(core.addr_ops_per_access);
+    const double addr_energy = core.addr_ops_per_access * model.int_op;
+
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        const Instr& instr = program.instrs[i];
+
+        if (instr.simd_group != 0) {
+            const SimdGroup& group = program.groups[instr.simd_group - 1];
+            if (group.last_index != i) continue; // account once per group
+            switch (group.kind) {
+            case InstrKind::FpArith: {
+                ++report.fp_simd_instrs;
+                report.fp_simd_lane_ops += static_cast<std::uint64_t>(group.lanes);
+                auto& activity = report.per_format[group.fmt];
+                activity.vector_ops += static_cast<std::uint64_t>(group.lanes);
+                ++activity.vector_instrs;
+                report.energy.fp_ops +=
+                    model.fp_op_simd(group.op, group.fmt, group.lanes) +
+                    model.idle_slice *
+                        fpu::EnergyModel::idle_slices(group.fmt, group.lanes) +
+                    model.fpu_reg_move;
+                break;
+            }
+            case InstrKind::Load:
+            case InstrKind::Store: {
+                ++report.mem_accesses;
+                ++report.mem_accesses_vector;
+                report.mem_bytes += static_cast<std::uint64_t>(group.bytes);
+                report.energy.memory += model.mem_access(group.bytes);
+                report.addr_int_ops += addr_ops;
+                report.energy.other += addr_energy;
+                break;
+            }
+            default: break;
+            }
+            continue;
         }
-        report.energy.fp_ops += cost.energy.fp_ops;
-        report.energy.memory += cost.energy.memory;
-        report.energy.other += cost.energy.other;
+
+        switch (instr.kind) {
+        case InstrKind::IntAlu:
+            ++report.int_ops;
+            report.energy.other += model.int_op;
+            break;
+        case InstrKind::Branch:
+            ++report.branches;
+            report.energy.other += model.branch_op;
+            break;
+        case InstrKind::Load:
+        case InstrKind::Store:
+            ++report.mem_accesses;
+            report.mem_bytes += instr.bytes;
+            report.energy.memory += model.mem_access(instr.bytes);
+            report.addr_int_ops += addr_ops;
+            report.energy.other += addr_energy;
+            break;
+        case InstrKind::FpArith: {
+            ++report.fp_ops;
+            auto& activity = report.per_format[instr.fmt];
+            ++activity.scalar_ops;
+            report.energy.fp_ops +=
+                model.fp_op(instr.op, instr.fmt) +
+                model.idle_slice * fpu::EnergyModel::idle_slices(instr.fmt, 1) +
+                model.fpu_reg_move;
+            break;
+        }
+        case InstrKind::FpCast:
+            ++report.casts;
+            report.cast_cycles +=
+                static_cast<std::uint64_t>(fpu::cast_latency_cycles());
+            report.energy.fp_ops += model.cast(instr.fmt, instr.fmt2);
+            break;
+        }
     }
 
-    report.energy.other +=
-        model.stall_cycle * static_cast<double>(report.stall_cycles);
+    report.energy.other += model.stall_cycle * static_cast<double>(report.stall_cycles);
     return report;
-}
-
-RegionReport simulate_regions(const TraceProgram& program,
-                              const fpu::EnergyModel& model,
-                              const CoreParams& core) {
-    RegionReport result;
-    const std::vector<CostRegion> partition = cost_regions(program);
-    result.regions.reserve(partition.size());
-    for (const CostRegion& region : partition) {
-        result.regions.push_back(cost_region(program, region, model, core));
-    }
-    result.report = assemble_regions(program, result.regions, model, core);
-    return result;
-}
-
-RunReport simulate(const TraceProgram& program, const fpu::EnergyModel& model,
-                   const CoreParams& core) {
-    return simulate_regions(program, model, core).report;
 }
 
 void RunReport::print(std::ostream& os) const {

@@ -4,11 +4,9 @@
 // into FP operations / memory operations / other instructions).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <vector>
 
 #include "fpu/energy_model.hpp"
 #include "sim/trace.hpp"
@@ -32,8 +30,8 @@ struct EnergyBreakdown {
 
     [[nodiscard]] double total() const noexcept { return fp_ops + memory + other; }
 
-    /// Exact (bit-level) equality — the delta-cost contract is bit
-    /// identity, so no tolerance belongs here.
+    /// Exact (bit-level) equality: simulation is deterministic, so two
+    /// reports of one trace agree bit for bit and no tolerance belongs here.
     friend bool operator==(const EnergyBreakdown&, const EnergyBreakdown&) = default;
 };
 
@@ -72,115 +70,6 @@ struct RunReport {
 
     friend bool operator==(const RunReport&, const RunReport&) = default;
 };
-
-// --- Region-addressable cost accounting -------------------------------------
-//
-// The energy/counter integration over a trace is a sum of per-instruction
-// terms, so it can be folded per REGION — a run of branch-delimited
-// segments — and reassembled. That is what the cast-aware delta-cost path
-// (tuning/eval_engine.hpp report_delta + analysis/region_impact.hpp)
-// rides on: regions whose instruction sequence provably did not change
-// between two bindings splice their memoized RegionCost into the new
-// report instead of re-running the accounting. The pipeline model is NOT
-// regionized — it is a global in-order scoreboard over value ids — and is
-// recomputed in full by every assembly.
-//
-// Bit-identity contract: simulate() itself is the region fold
-// (simulate_regions().report), so a report assembled from any mix of
-// freshly costed and spliced regions — in region order — is bit-identical
-// to a full simulation, including the floating-point accumulation order
-// of the energy terms.
-
-/// Upper bound on cost regions per trace: segments are grouped so the
-/// per-report region vector stays small (a branch-heavy trace like
-/// jacobi's has tens of thousands of segments).
-inline constexpr std::size_t kMaxCostRegions = 128;
-
-/// Half-open instruction range [begin, end) of one cost region.
-struct CostRegion {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-
-    friend bool operator==(const CostRegion&, const CostRegion&) = default;
-};
-
-/// The additive slice of a RunReport contributed by one region: every
-/// per-instruction-accumulated counter and energy term (the stall-energy
-/// term and the pipeline quantities are global and live only in the
-/// assembled report). `signature` hashes the region's cost-relevant
-/// instruction sequence — equal signatures imply bit-equal cost fields,
-/// because every field is a deterministic fold over exactly the hashed
-/// inputs (under one energy model; splicing across models is meaningless).
-struct RegionCost {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::uint64_t signature = 0;
-
-    std::uint64_t mem_accesses = 0;
-    std::uint64_t mem_accesses_vector = 0;
-    std::uint64_t mem_bytes = 0;
-    std::uint64_t fp_ops = 0;
-    std::uint64_t fp_simd_instrs = 0;
-    std::uint64_t fp_simd_lane_ops = 0;
-    std::uint64_t casts = 0;
-    std::uint64_t cast_cycles = 0;
-    std::uint64_t int_ops = 0;
-    std::uint64_t addr_int_ops = 0;
-    std::uint64_t branches = 0;
-    std::map<FpFormat, FormatActivity> per_format;
-    EnergyBreakdown energy; // without the stall-cycle term
-
-    friend bool operator==(const RegionCost&, const RegionCost&) = default;
-};
-
-/// A full simulation plus its per-region cost decomposition; folding
-/// `regions` in order reproduces `report` exactly.
-struct RegionReport {
-    RunReport report;
-    std::vector<RegionCost> regions;
-};
-
-/// Segments grouped into each cost region for a trace with `branch_count`
-/// branches: ceil((branch_count + 1) / kMaxCostRegions). A pure function
-/// of the branch count, so two traces with the same branch skeleton
-/// partition into the same number of regions at the same segment
-/// boundaries.
-[[nodiscard]] std::size_t segments_per_cost_region(
-    std::uint64_t branch_count) noexcept;
-
-/// Partitions `program` into cost regions: consecutive branch-delimited
-/// segments, segments_per_cost_region() of them per region (the last
-/// region takes the remainder). SIMD groups never straddle a region —
-/// members are adjacent and groups contain no branches.
-[[nodiscard]] std::vector<CostRegion> cost_regions(const TraceProgram& program);
-
-/// Accounts the instructions of one region (counters, per-format
-/// activity, energy terms, signature). SIMD groups are charged once, at
-/// their last member, which lies inside the region.
-[[nodiscard]] RegionCost cost_region(const TraceProgram& program,
-                                     const CostRegion& region,
-                                     const fpu::EnergyModel& model,
-                                     const CoreParams& core);
-
-/// Signature-only walk of a region: the hash cost_region() would produce,
-/// without any counter or energy work — the cheap validity check the
-/// delta path runs before splicing a memoized RegionCost.
-[[nodiscard]] std::uint64_t region_signature(const TraceProgram& program,
-                                             const CostRegion& region);
-
-/// Folds per-region costs (in region order), runs the pipeline model, and
-/// adds the global stall-energy term — the single assembly path shared by
-/// full and delta-cost simulation, so both produce identical bits.
-[[nodiscard]] RunReport assemble_regions(const TraceProgram& program,
-                                         const std::vector<RegionCost>& regions,
-                                         const fpu::EnergyModel& model,
-                                         const CoreParams& core);
-
-/// Full simulation with the per-region decomposition kept.
-[[nodiscard]] RegionReport simulate_regions(const TraceProgram& program,
-                                            const fpu::EnergyModel& model =
-                                                fpu::default_energy_model(),
-                                            const CoreParams& core = CoreParams{});
 
 /// Runs the pipeline and energy models over `program`.
 /// The program must already be vectorized (or deliberately not, for a

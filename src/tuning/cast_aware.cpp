@@ -15,18 +15,11 @@ struct Cost {
 };
 
 /// Simulated platform cost of one binding, via the engine's memoized
-/// report cache. Safe from pool workers. A non-null `base` (the binding
-/// `config` was derived from — here always the round's current binding)
-/// routes through the delta-cost path when the options ask for it:
-/// bit-identical report, fewer re-costed regions.
+/// report cache. Safe from pool workers.
 Cost platform_cost(EvalEngine& engine, const apps::TypeConfig& config,
-                   const CastAwareOptions& options,
-                   const apps::TypeConfig* base = nullptr) {
+                   const CastAwareOptions& options) {
     const sim::RunReport report =
-        options.delta_cost && base != nullptr
-            ? engine.report_delta(options.cost_input_set, *base, config,
-                                  options.simd)
-            : engine.report(options.cost_input_set, config, options.simd);
+        engine.report(options.cost_input_set, config, options.simd);
     return Cost{report.energy.total(), report.casts};
 }
 
@@ -104,18 +97,13 @@ CastAwareResult cast_aware_search(EvalEngine& engine,
 
             // Cost probes are independent given `current`: fan them out
             // on the engine's pool (each an engine-cached traced run).
-            // Every probe differs from `current` in exactly this signal,
-            // so `current` (whose report the round already memoized) is
-            // the delta base for all of them — which also keeps the
-            // region counters deterministic at any thread count: the
-            // concurrent probes agree on the base.
             const std::vector<Cost> costs = util::indexed_map(
                 engine.pool(), candidates.size(),
                 [&engine, &current, &options, &candidates,
                  id](std::size_t k) -> Cost {
                     apps::TypeConfig config = current;
                     config.set(id, candidates[k]);
-                    return platform_cost(engine, config, options, &current);
+                    return platform_cost(engine, config, options);
                 });
 
             // Deterministic acceptance: scan candidates in member order;

@@ -35,16 +35,6 @@ struct CastAwareOptions {
     bool simd = true;          // platform configuration for the cost oracle
     int max_rounds = 4;        // greedy sweeps over all variables
     unsigned cost_input_set = 0; // workload used for energy evaluation
-    /// Delta-cost the candidate probes: each probe differs from the
-    /// current binding in one signal, so its cost report is obtained via
-    /// EvalEngine::report_delta — the static region-impact analysis
-    /// splices every provably unaffected cost region from the current
-    /// binding's memoized report instead of re-accounting it. Results are
-    /// bit-identical either way (the delta-cost soundness contract in
-    /// eval_engine.hpp / search.hpp); only the
-    /// EvalStats::regions_recosted / regions_skipped_by_impact split
-    /// moves.
-    bool delta_cost = true;
 };
 
 /// A cast-aware pass as a service request: the payload of the cast-aware

@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "analysis/region_impact.hpp"
-#include "analysis/signal_flow.hpp"
 #include "flexfloat/arith_backend.hpp"
 #include "tuning/quality.hpp"
 
@@ -30,98 +28,14 @@ std::size_t output_bytes(const std::vector<double>& output,
            kEntryOverheadBytes;
 }
 
-std::size_t per_format_bytes(const std::map<tp::FpFormat, sim::FormatActivity>&
-                                 per_format) {
-    // A map node is roughly the pair plus pointers.
-    return per_format.size() *
-           (sizeof(tp::FpFormat) + sizeof(sim::FormatActivity) + 48);
-}
-
-std::size_t report_bytes(const sim::RegionReport& report,
+std::size_t report_bytes(const sim::RunReport& report,
                          std::size_t config_signals) {
-    std::size_t bytes = sizeof(sim::RegionReport) +
-                        per_format_bytes(report.report.per_format) +
-                        2 * key_bytes(config_signals) + kEntryOverheadBytes;
-    for (const sim::RegionCost& region : report.regions) {
-        bytes += sizeof(sim::RegionCost) + per_format_bytes(region.per_format);
-    }
-    return bytes;
-}
-
-/// The delta-cost simulation: re-costs the regions the impact map reaches
-/// from the changed signals, splices (signature-verified) memoized costs
-/// for the rest, and assembles through the same fold as a full
-/// simulation. Every gate failure — diverged branch skeleton, partition
-/// mismatch, signature mismatch — degrades to the full path, so the
-/// result is bit-identical to simulate_regions() regardless of the
-/// analysis's quality. `recosted`/`skipped` always sum to the region
-/// count.
-sim::RegionReport delta_simulate(const sim::TraceProgram& program,
-                                 const sim::RegionReport& base,
-                                 const analysis::RegionImpactMap& impact,
-                                 const apps::TypeConfig& base_config,
-                                 const apps::TypeConfig& config,
-                                 std::size_t& recosted, std::size_t& skipped) {
-    const fpu::EnergyModel model = fpu::default_energy_model();
-    const sim::CoreParams core{};
-    const auto full = [&] {
-        sim::RegionReport report = sim::simulate_regions(program, model, core);
-        recosted = report.regions.size();
-        skipped = 0;
-        return report;
-    };
-
-    std::uint64_t branch_count = 0;
-    for (const sim::Instr& instr : program.instrs) {
-        branch_count += instr.kind == sim::InstrKind::Branch ? 1 : 0;
-    }
-    // Correspondence gate: region indices transfer only when capture,
-    // base, and candidate share one branch skeleton (and so one
-    // partition).
-    if (branch_count != impact.branch_count ||
-        base.report.branches != impact.branch_count) {
-        return full();
-    }
-    const std::vector<sim::CostRegion> partition = sim::cost_regions(program);
-    if (partition.size() != impact.region_count ||
-        partition.size() != base.regions.size()) {
-        return full();
-    }
-
-    std::vector<std::int32_t> changed;
-    for (std::size_t id = 0; id < config.size(); ++id) {
-        if (config.at(id) != base_config.at(id)) {
-            changed.push_back(static_cast<std::int32_t>(id));
-        }
-    }
-
-    sim::RegionReport result;
-    result.regions.reserve(partition.size());
-    recosted = 0;
-    skipped = 0;
-    for (std::size_t r = 0; r < partition.size(); ++r) {
-        if (impact.region_impacted(r, changed)) {
-            result.regions.push_back(
-                sim::cost_region(program, partition[r], model, core));
-            ++recosted;
-            continue;
-        }
-        // Unimpacted by the analysis — still verified: equal signatures
-        // imply bit-equal cost fields (sim/platform.hpp), so the splice
-        // is exact; any mismatch means the premise broke and the whole
-        // report is re-costed.
-        if (sim::region_signature(program, partition[r]) !=
-            base.regions[r].signature) {
-            return full();
-        }
-        sim::RegionCost spliced = base.regions[r];
-        spliced.begin = partition[r].begin;
-        spliced.end = partition[r].end;
-        result.regions.push_back(std::move(spliced));
-        ++skipped;
-    }
-    result.report = assemble_regions(program, result.regions, model, core);
-    return result;
+    // The per-format map is the only dynamic part of a RunReport; a map
+    // node is roughly the pair plus pointers.
+    return sizeof(sim::RunReport) +
+           report.per_format.size() * (sizeof(FpFormat) +
+                                       sizeof(sim::FormatActivity) + 48) +
+           2 * key_bytes(config_signals) + kEntryOverheadBytes;
 }
 
 /// The stack of EvalStatsScopes alive on this thread. Thread-local, so
@@ -278,8 +192,7 @@ std::vector<double> EvalEngine::output(unsigned input_set,
     check_config(config);
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.trials; });
     return *obtain(CacheKey{CacheKey::Kind::Output, input_set, /*simd=*/false,
-                            config},
-                   nullptr)
+                            config})
                 .output;
 }
 
@@ -292,8 +205,7 @@ bool EvalEngine::meets(unsigned input_set, const apps::TypeConfig& config,
     // place — no copy.
     const std::vector<double>& reference = golden(input_set);
     const CacheValue value = obtain(
-        CacheKey{CacheKey::Kind::Output, input_set, /*simd=*/false, config},
-        nullptr);
+        CacheKey{CacheKey::Kind::Output, input_set, /*simd=*/false, config});
     return meets_requirement(reference, *value.output, epsilon);
 }
 
@@ -301,83 +213,11 @@ sim::RunReport EvalEngine::report(unsigned input_set,
                                   const apps::TypeConfig& config, bool simd) {
     check_config(config);
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.trials; });
-    return obtain(CacheKey{CacheKey::Kind::Report, input_set, simd, config},
-                  nullptr)
-        .report->report;
+    return *obtain(CacheKey{CacheKey::Kind::Report, input_set, simd, config})
+                .report;
 }
 
-sim::RunReport EvalEngine::report_delta(unsigned input_set,
-                                        const apps::TypeConfig& base_config,
-                                        const apps::TypeConfig& config,
-                                        bool simd) {
-    check_config(base_config);
-    // An unchanged binding is the memoized base itself — one ordinary
-    // (cache-hitting) trial, no delta machinery.
-    if (base_config == config) return report(input_set, config, simd);
-    check_config(config);
-    bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.trials; });
-
-    // Opportunistic basis: peek (don't wait) for the memoized base
-    // decomposition. Missing — cold cache, evicted, memoization off —
-    // just means a full simulation; results are identical either way.
-    DeltaBasis basis;
-    basis.base_config = base_config;
-    if (memoize_) {
-        const std::lock_guard<std::mutex> lock{cache_mutex_};
-        const auto it = cache_.find(
-            CacheKey{CacheKey::Kind::Report, input_set, simd, base_config});
-        if (it != cache_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lru);
-            basis.base = it->second.value.report;
-        }
-    }
-    if (basis.base != nullptr) basis.impact = impact_for(input_set);
-
-    const CacheKey key{CacheKey::Kind::Report, input_set, simd, config};
-    const bool usable = basis.base != nullptr && basis.impact != nullptr &&
-                        basis.impact->region_count > 0;
-    return obtain(key, usable ? &basis : nullptr).report->report;
-}
-
-std::shared_ptr<const analysis::RegionImpactMap> EvalEngine::impact_for(
-    unsigned input_set) {
-    std::promise<std::shared_ptr<const analysis::RegionImpactMap>> promise;
-    std::shared_future<std::shared_ptr<const analysis::RegionImpactMap>> future;
-    bool runner = false;
-    {
-        const std::lock_guard<std::mutex> lock{impact_mutex_};
-        const auto it = impact_futures_.find(input_set);
-        if (it != impact_futures_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            impact_futures_.emplace(input_set, future);
-            runner = true;
-        }
-    }
-    if (!runner) return future.get();
-
-    // One tagged shadow capture per (engine, input set) — an analysis
-    // run, not a trial: no counters move. Failures (e.g. more signals
-    // than tag formats) resolve to an empty, never-usable map rather
-    // than poisoning delta requests with exceptions.
-    auto map = std::make_shared<analysis::RegionImpactMap>();
-    try {
-        std::unique_ptr<apps::App> app = acquire_clone();
-        const analysis::CapturedTrace capture =
-            analysis::capture_trace(*app, input_set);
-        release_clone(std::move(app));
-        *map = analysis::build_region_impact(capture.program,
-                                             capture.signal_count);
-    } catch (...) {
-        *map = analysis::RegionImpactMap{};
-    }
-    promise.set_value(map);
-    return map;
-}
-
-EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key,
-                                           const DeltaBasis* basis) {
+EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key) {
     // Thread-scoped backend override: execute() always runs the kernel on
     // the calling thread (pool tasks call it from the worker), so the
     // scope pins exactly this run — and nothing else — to the emulated
@@ -394,43 +234,16 @@ EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key,
         sim::TpContext ctx; // traced: the platform model needs the program
         value.output = std::make_shared<const std::vector<double>>(
             app->run(ctx, key.config));
-        const sim::TraceProgram program = ctx.take_program(key.simd);
-        std::size_t recosted = 0;
-        std::size_t skipped = 0;
-        sim::RegionReport report =
-            basis != nullptr
-                ? delta_simulate(program, *basis->base, *basis->impact,
-                                 basis->base_config, key.config, recosted,
-                                 skipped)
-                : sim::simulate_regions(program);
-        if (basis == nullptr) recosted = report.regions.size();
-#ifndef NDEBUG
-        if (basis != nullptr) {
-            // The always-on debug cross-check of the delta-cost soundness
-            // contract: a spliced report must be bit-identical to a full
-            // simulation (exercised by the Debug sanitizer/tsan CI jobs).
-            const sim::RegionReport full = sim::simulate_regions(program);
-            assert(full.report == report.report &&
-                   full.regions == report.regions &&
-                   "report_delta: spliced report diverged from full "
-                   "simulation");
-        }
-#endif
-        value.report =
-            std::make_shared<const sim::RegionReport>(std::move(report));
-        bump(stats_mutex_, stats_, [recosted, skipped](EvalStats& s) {
-            s.regions_recosted += recosted;
-            s.regions_skipped_by_impact += skipped;
-        });
+        value.report = std::make_shared<const sim::RunReport>(
+            sim::simulate(ctx.take_program(key.simd)));
     }
     release_clone(std::move(app));
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.kernel_runs; });
     return value;
 }
 
-EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key,
-                                          const DeltaBasis* basis) {
-    if (!memoize_) return execute(key, basis);
+EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
+    if (!memoize_) return execute(key);
 
     std::shared_ptr<Flight> flight;
     bool runner = false;
@@ -473,7 +286,7 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key,
     }
 
     try {
-        const CacheValue value = execute(key, basis);
+        const CacheValue value = execute(key);
         std::size_t evicted = 0;
         {
             const std::lock_guard<std::mutex> lock{cache_mutex_};

@@ -48,7 +48,6 @@
 #pragma once
 
 #include <cstddef>
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -59,10 +58,6 @@
 #include "apps/app.hpp"
 #include "sim/platform.hpp"
 #include "util/thread_pool.hpp"
-
-namespace tp::analysis {
-struct RegionImpactMap;
-} // namespace tp::analysis
 
 namespace tp::tuning {
 
@@ -83,13 +78,6 @@ namespace tp::tuning {
 /// trials == cache_hits + kernel_runs invariant; a deterministic
 /// function of the request, booked by the search via
 /// note_trials_skipped() so scoped attribution sees it too.
-/// `regions_recosted` / `regions_skipped_by_impact` account the
-/// delta-cost path's work exactly: every traced execution books each
-/// cost region (sim/platform.hpp) either as re-costed or — when
-/// report_delta() proved it unreachable from the changed signals and
-/// verified its signature — as spliced from the memoized base report.
-/// For one traced execution recosted + skipped equals the trace's region
-/// count; a full simulation books every region as re-costed.
 struct EvalStats {
     std::size_t trials = 0;
     std::size_t kernel_runs = 0;
@@ -97,8 +85,6 @@ struct EvalStats {
     std::size_t golden_runs = 0;
     std::size_t evictions = 0;
     std::size_t trials_skipped_by_bounds = 0;
-    std::size_t regions_recosted = 0;
-    std::size_t regions_skipped_by_impact = 0;
 
     /// Fraction of trials served from the cache, in [0, 1].
     [[nodiscard]] double hit_rate() const noexcept {
@@ -117,8 +103,6 @@ struct EvalStats {
         golden_runs += other.golden_runs;
         evictions += other.evictions;
         trials_skipped_by_bounds += other.trials_skipped_by_bounds;
-        regions_recosted += other.regions_recosted;
-        regions_skipped_by_impact += other.regions_skipped_by_impact;
         return *this;
     }
     friend EvalStats operator+(EvalStats a, const EvalStats& b) noexcept {
@@ -131,8 +115,6 @@ struct EvalStats {
         a.golden_runs -= b.golden_runs;
         a.evictions -= b.evictions;
         a.trials_skipped_by_bounds -= b.trials_skipped_by_bounds;
-        a.regions_recosted -= b.regions_recosted;
-        a.regions_skipped_by_impact -= b.regions_skipped_by_impact;
         return a;
     }
 
@@ -237,28 +219,6 @@ public:
     sim::RunReport report(unsigned input_set, const apps::TypeConfig& config,
                           bool simd);
 
-    /// report() with delta costing: when the report for `base_config` is
-    /// already memoized, only the cost regions the static region-impact
-    /// analysis (analysis/region_impact.hpp) proves reachable from the
-    /// changed signals are re-accounted; every other region's memoized
-    /// RegionCost is signature-verified and spliced.
-    ///
-    /// Delta-cost soundness contract: the returned report is BIT-IDENTICAL
-    /// to report(input_set, config, simd) in every field, for any base.
-    /// Three layers enforce it — (1) the impact sets over-approximate
-    /// (region_impact.hpp's contract), (2) each spliced region's cost
-    /// signature must equal the base's (any mismatch, e.g. a diverged
-    /// branch skeleton, falls back to full re-costing), and (3) debug
-    /// builds cross-check the assembled report against a full simulation.
-    /// The path is opportunistic: without a memoized base (cold cache,
-    /// memoization off, evicted entry) or a usable impact map it degrades
-    /// to a plain full report. Counters: one trial either way;
-    /// EvalStats::regions_skipped_by_impact books exactly the regions
-    /// spliced instead of re-costed.
-    sim::RunReport report_delta(unsigned input_set,
-                                const apps::TypeConfig& base_config,
-                                const apps::TypeConfig& config, bool simd);
-
     [[nodiscard]] EvalStats stats() const;
 
     /// Books `n` trials a warm start / feasibility bound made unnecessary
@@ -303,23 +263,12 @@ private:
     /// What an in-flight execution resolves to: the output for Output
     /// keys, the report for Report keys. Shared ownership keeps a value
     /// alive for waiters and readers even after the LRU budget evicts its
-    /// cache entry. Report entries keep the full per-region decomposition
-    /// (sim::RegionReport) so later report_delta() calls can splice from
-    /// them.
+    /// cache entry.
     struct CacheValue {
         std::shared_ptr<const std::vector<double>> output;
-        std::shared_ptr<const sim::RegionReport> report;
+        std::shared_ptr<const sim::RunReport> report;
     };
     struct Flight; // promise/shared_future pair, defined in the .cpp
-
-    /// Everything a delta-costed traced execution splices from: the
-    /// memoized base decomposition, the input set's impact map, and the
-    /// base binding (to diff against the candidate's).
-    struct DeltaBasis {
-        std::shared_ptr<const sim::RegionReport> base;
-        std::shared_ptr<const analysis::RegionImpactMap> impact;
-        apps::TypeConfig base_config;
-    };
 
     struct CacheEntry {
         CacheValue value;
@@ -336,23 +285,12 @@ private:
     /// value, waits on a concurrent execution of the same key, or runs
     /// `key` itself (one untraced run for Output keys, one traced run +
     /// platform simulation for Report keys). Counts kernel_runs /
-    /// cache_hits exactly once per call. A non-null `basis` lets the
-    /// runner's simulation take the delta-cost path; waiters receive the
-    /// same (bit-identical) value regardless of their own basis.
-    CacheValue obtain(const CacheKey& key, const DeltaBasis* basis);
+    /// cache_hits exactly once per call.
+    CacheValue obtain(const CacheKey& key);
 
     /// Executes `key`'s kernel run on a pooled clone. For Report keys the
     /// produced output is returned too, so it can seed the output cache.
-    [[nodiscard]] CacheValue execute(const CacheKey& key,
-                                     const DeltaBasis* basis);
-
-    /// The input set's region-impact map, built once per engine lifetime
-    /// from one tagged shadow capture (single-flighted; not a trial, so
-    /// no counters move). Failures — e.g. more signals than tag formats —
-    /// yield an empty map, permanently downgrading delta requests for the
-    /// set to plain full reports.
-    [[nodiscard]] std::shared_ptr<const analysis::RegionImpactMap> impact_for(
-        unsigned input_set);
+    [[nodiscard]] CacheValue execute(const CacheKey& key);
 
     /// Inserts `value` for `key` (if absent), charges its bytes, and
     /// evicts LRU entries past the budget. Returns entries evicted.
@@ -374,14 +312,6 @@ private:
     std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_;
     std::list<CacheKey> lru_; // front = most recently used
     std::size_t cache_bytes_ = 0;
-
-    /// Region-impact maps per input set, single-flighted via shared
-    /// futures (separate mutex: building a map runs a kernel and must not
-    /// hold up the trial cache).
-    std::mutex impact_mutex_;
-    std::map<unsigned,
-             std::shared_future<std::shared_ptr<const analysis::RegionImpactMap>>>
-        impact_futures_;
 
     mutable std::mutex stats_mutex_;
     EvalStats stats_;

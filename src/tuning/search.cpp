@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "analysis/derive_bounds.hpp"
@@ -39,6 +42,8 @@ public:
             names_.push_back(spec.name);
             elements_.push_back(spec.elements);
         }
+        validate_request();
+        if (options_.static_bounds) resolve_static_bounds();
         validate_warm_start();
         // Pre-warm the goldens serially so pool workers only ever read them.
         for (unsigned set : options.input_sets) (void)engine_.golden(set);
@@ -88,6 +93,57 @@ public:
     }
 
 private:
+    /// Rejects a request no search can answer, before any analysis or
+    /// golden run: without input sets there is nothing to tune against,
+    /// and a NaN, infinite, or non-positive epsilon is no requirement.
+    void validate_request() const {
+        if (options_.input_sets.empty()) {
+            throw std::invalid_argument(
+                "SearchOptions::input_sets: at least one input set is "
+                "required");
+        }
+        if (!std::isfinite(options_.epsilon) || !(options_.epsilon > 0.0)) {
+            std::ostringstream msg;
+            msg << "SearchOptions::epsilon must be finite and greater than 0, "
+                   "got "
+                << options_.epsilon;
+            throw std::invalid_argument(msg.str());
+        }
+    }
+
+    /// Folds the static analysis' sound lower bounds into the warm start
+    /// (SearchOptions::static_bounds). The analysis runs on a private
+    /// clone (it clobbers the prepared workload) and costs no trials.
+    void resolve_static_bounds() {
+        const std::unique_ptr<apps::App> app = engine_.prototype().clone();
+        const WarmStart derived = analysis::derive_warm_start(
+            *app, options_.epsilon, options_.input_sets, options_.type_system);
+        options_.static_bounds = false;
+        if (!options_.warm_start) {
+            options_.warm_start = derived;
+            return;
+        }
+        WarmStart& warm = *options_.warm_start;
+        if (warm.lower_bounds.empty()) {
+            warm.lower_bounds = derived.lower_bounds;
+        } else if (warm.lower_bounds.size() == derived.lower_bounds.size()) {
+            for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
+                warm.lower_bounds[i] =
+                    std::max(warm.lower_bounds[i], derived.lower_bounds[i]);
+            }
+        }
+        // An upper bound below a derived lower contradicts soundness only
+        // apparently (the caller's bound wins the probe clamp); keep the
+        // pair consistent so validation stays happy.
+        if (!warm.upper_bounds.empty() &&
+            warm.upper_bounds.size() == warm.lower_bounds.size()) {
+            for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
+                warm.lower_bounds[i] =
+                    std::min(warm.lower_bounds[i], warm.upper_bounds[i]);
+            }
+        }
+    }
+
     /// Rejects a warm start that does not match the app's SignalTable or
     /// steps outside the precision lattice, before any trial runs.
     void validate_warm_start() const {
@@ -406,41 +462,6 @@ TuningResult distributed_search(apps::App& app, const SearchOptions& options) {
 }
 
 TuningResult distributed_search(EvalEngine& engine, const SearchOptions& options) {
-    if (options.static_bounds) {
-        // Resolve the flag into explicit warm-start lower bounds before the
-        // searcher sees the request: the analysis runs on a private clone
-        // (it clobbers the prepared workload) and costs no trials.
-        const std::unique_ptr<apps::App> app = engine.prototype().clone();
-        const WarmStart derived = analysis::derive_warm_start(
-            *app, options.epsilon, options.input_sets, options.type_system);
-        SearchOptions resolved = options;
-        resolved.static_bounds = false;
-        if (!resolved.warm_start) {
-            resolved.warm_start = derived;
-        } else {
-            WarmStart& warm = *resolved.warm_start;
-            if (warm.lower_bounds.empty()) {
-                warm.lower_bounds = derived.lower_bounds;
-            } else if (warm.lower_bounds.size() == derived.lower_bounds.size()) {
-                for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
-                    warm.lower_bounds[i] = std::max(warm.lower_bounds[i],
-                                                    derived.lower_bounds[i]);
-                }
-            }
-            // An upper bound below a derived lower contradicts soundness
-            // only apparently (the caller's bound wins the probe clamp);
-            // keep the pair consistent so validation stays happy.
-            if (!warm.upper_bounds.empty() &&
-                warm.upper_bounds.size() == warm.lower_bounds.size()) {
-                for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
-                    warm.lower_bounds[i] =
-                        std::min(warm.lower_bounds[i], warm.upper_bounds[i]);
-                }
-            }
-        }
-        Searcher searcher{engine, resolved};
-        return searcher.run();
-    }
     Searcher searcher{engine, options};
     return searcher.run();
 }

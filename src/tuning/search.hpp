@@ -101,21 +101,6 @@
 //     nothing but the clamped probe: the closing verification catches it
 //     and keeps the pass-start value, and repair restores feasibility as
 //     always.
-//
-//   * delta costing — the cast-aware phase's cost probes may route
-//     through EvalEngine::report_delta (CastAwareOptions::delta_cost, on
-//     by default), which re-costs only the regions the static
-//     region-impact analysis (analysis/region_impact.hpp) cannot prove
-//     untouched and splices the rest from the memoized base report. By
-//     the delta-cost soundness contract (full statement at
-//     EvalEngine::report_delta in tuning/eval_engine.hpp) the returned
-//     RunReport is BIT-IDENTICAL to a full simulation — over-approximate
-//     impact sets, per-region signature verification with full-recost
-//     fallback, and a debug-build delta==full cross-check stack so an
-//     analysis bug can only cost speed, never bits — so every axis above
-//     extends unchanged. Only the EvalStats::regions_recosted /
-//     regions_skipped_by_impact split moves, and it too is exact at any
-//     thread count (probes within a round share one base binding).
 #pragma once
 
 #include <array>
@@ -220,7 +205,10 @@ struct TuningResult {
 };
 
 /// Runs the two-phase search on `app` with a private EvalEngine.
-/// Deterministic for fixed options.
+/// Deterministic for fixed options. Throws std::invalid_argument before
+/// any analysis, golden, or trial run when `options.input_sets` is empty,
+/// `options.epsilon` is not finite and greater than 0, or the warm start
+/// does not fit the app.
 [[nodiscard]] TuningResult distributed_search(apps::App& app,
                                               const SearchOptions& options);
 

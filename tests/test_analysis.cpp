@@ -16,11 +16,8 @@
 #include "analysis/error_model.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/range_analysis.hpp"
-#include "analysis/region_impact.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
-#include "fpu/energy_model.hpp"
-#include "sim/platform.hpp"
 #include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
 #include "tuning/search.hpp"
@@ -125,6 +122,28 @@ TEST(LintTrace, IgnoresNonCastInstructions) {
     program.instrs.push_back(from_int);
     program.value_count = 4;
     EXPECT_TRUE(analysis::lint_trace(program).empty());
+}
+
+TEST(Lint, CollectsAndFoldsCastSites) {
+    const std::size_t S = 3;
+    const auto tags = analysis::tagging_config(S);
+    sim::TraceProgram program;
+    program.instrs.push_back(make_cast(tags.at(0), tags.at(1), 0, 1));
+    program.instrs.push_back(make_cast(tags.at(1), tags.at(2), 1, 2));
+    program.instrs.push_back(make_cast(tags.at(0), tags.at(1), 3, 4));
+    sim::Instr from_int = make_cast(tags.at(2), tags.at(2), -1, 5);
+    from_int.op = FpOp::FromInt;
+    program.instrs.push_back(from_int); // not a format-boundary cast
+
+    const auto sites = analysis::collect_cast_sites(program, S);
+    ASSERT_EQ(sites.size(), 2u);
+    EXPECT_EQ(sites[0].src_signal, 0);
+    EXPECT_EQ(sites[0].dst_signal, 1);
+    EXPECT_EQ(sites[0].first_instr, 0u);
+    EXPECT_EQ(sites[0].occurrences, 2u);
+    EXPECT_EQ(sites[1].src_signal, 1);
+    EXPECT_EQ(sites[1].dst_signal, 2);
+    EXPECT_EQ(sites[1].occurrences, 1u);
 }
 
 // --- tagging / capture -------------------------------------------------------
@@ -382,242 +401,6 @@ TEST(DeriveBounds, WarmStartIsSoundAndPrunesTrials) {
     EXPECT_LE(bounded.program_runs, cold.program_runs);
     EXPECT_GT(bounded_engine.stats().trials_skipped_by_bounds, 0u);
     EXPECT_EQ(cold_engine.stats().trials_skipped_by_bounds, 0u);
-}
-
-// --- cost regions (sim/platform.hpp) -----------------------------------------
-
-sim::Instr make_branch() {
-    sim::Instr instr;
-    instr.kind = sim::InstrKind::Branch;
-    return instr;
-}
-
-sim::Instr make_arith(FpFormat fmt, bool vectorizable, FpOp op = FpOp::Add) {
-    sim::Instr instr;
-    instr.kind = sim::InstrKind::FpArith;
-    instr.op = op;
-    instr.fmt = fmt;
-    instr.vectorizable = vectorizable;
-    return instr;
-}
-
-sim::Instr make_mem(sim::InstrKind kind, FpFormat fmt, bool vectorizable,
-                    std::uint32_t stream) {
-    sim::Instr instr;
-    instr.kind = kind;
-    instr.fmt = fmt;
-    instr.bytes = 4;
-    instr.vectorizable = vectorizable;
-    instr.stream = stream;
-    return instr;
-}
-
-sim::TraceProgram branchy_program(std::size_t branches,
-                                  std::size_t arith_per_segment) {
-    sim::TraceProgram program;
-    for (std::size_t b = 0; b <= branches; ++b) {
-        for (std::size_t a = 0; a < arith_per_segment; ++a) {
-            program.instrs.push_back(make_arith(kBinary32, false));
-        }
-        if (b < branches) program.instrs.push_back(make_branch());
-    }
-    return program;
-}
-
-TEST(CostRegions, CountIsAPureFunctionOfBranchCount) {
-    // Empty trace: the trailing region is always emitted.
-    const auto none = sim::cost_regions(sim::TraceProgram{});
-    ASSERT_EQ(none.size(), 1u);
-    EXPECT_EQ(none[0], (sim::CostRegion{0, 0}));
-
-    for (const std::size_t branches : {0ul, 5ul, 127ul, 128ul, 300ul, 1000ul}) {
-        const auto a = sim::cost_regions(branchy_program(branches, 1));
-        const auto b = sim::cost_regions(branchy_program(branches, 7));
-        // Same branch skeleton, different instruction counts: identical
-        // region COUNT (what the delta path's partition gate relies on).
-        EXPECT_EQ(a.size(), b.size()) << branches << " branches";
-        EXPECT_LE(a.size(), sim::kMaxCostRegions) << branches << " branches";
-        const std::size_t per = sim::segments_per_cost_region(branches);
-        EXPECT_EQ(a.size(), (branches + 1 + per - 1) / per)
-            << branches << " branches";
-        // Contiguous cover of the whole trace.
-        const auto program = branchy_program(branches, 7);
-        const auto regions = sim::cost_regions(program);
-        std::size_t expect_begin = 0;
-        for (const auto& region : regions) {
-            EXPECT_EQ(region.begin, expect_begin);
-            EXPECT_GE(region.end, region.begin);
-            expect_begin = region.end;
-        }
-        EXPECT_EQ(expect_begin, program.instrs.size());
-    }
-}
-
-TEST(CostRegions, FoldReproducesMonolithicSimulation) {
-    auto app = apps::make_app("dwt");
-    app->prepare(0);
-    sim::TpContext ctx;
-    (void)app->run(ctx, app->uniform_config(kBinary16));
-    const sim::TraceProgram program = ctx.take_program(true);
-
-    const auto& model = fpu::default_energy_model();
-    const sim::CoreParams core{};
-    const sim::RegionReport rr = sim::simulate_regions(program, model, core);
-    EXPECT_EQ(rr.report, sim::simulate(program, model, core));
-
-    // Each region's cost and signature are reproducible in isolation, and
-    // the counters sum exactly to the per-instruction report fields.
-    const auto regions = sim::cost_regions(program);
-    ASSERT_EQ(rr.regions.size(), regions.size());
-    std::uint64_t fp_ops = 0;
-    std::uint64_t mem_accesses = 0;
-    std::uint64_t branches = 0;
-    std::uint64_t casts = 0;
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-        EXPECT_EQ(rr.regions[i], sim::cost_region(program, regions[i], model,
-                                                  core));
-        EXPECT_EQ(rr.regions[i].signature,
-                  sim::region_signature(program, regions[i]));
-        fp_ops += rr.regions[i].fp_ops;
-        mem_accesses += rr.regions[i].mem_accesses;
-        branches += rr.regions[i].branches;
-        casts += rr.regions[i].casts;
-    }
-    EXPECT_EQ(fp_ops, rr.report.fp_ops);
-    EXPECT_EQ(mem_accesses, rr.report.mem_accesses);
-    EXPECT_EQ(branches, rr.report.branches);
-    EXPECT_EQ(casts, rr.report.casts);
-    EXPECT_EQ(sim::assemble_regions(program, rr.regions, model, core),
-              rr.report);
-}
-
-// --- region impact (analysis/region_impact.hpp) ------------------------------
-
-TEST(RegionImpact, ExactAttributionWithoutVectorWindows) {
-    // Two scalar (non-vectorizable) arithmetic segments: signal 0's cost
-    // lives in region 0 only, signal 1's in region 1 only, signal 2 is
-    // untouched — the exact-attribution half of the analysis, no smearing.
-    const std::size_t S = 3;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_arith(tags.at(0), false));
-    program.instrs.push_back(make_branch());
-    program.instrs.push_back(make_arith(tags.at(1), false));
-
-    const auto map = analysis::build_region_impact(program, S);
-    ASSERT_EQ(map.region_count, 2u);
-    EXPECT_EQ(map.branch_count, 1u);
-    EXPECT_EQ(map.impact[0], (std::vector<char>{1, 0}));
-    EXPECT_EQ(map.impact[1], (std::vector<char>{0, 1}));
-    EXPECT_EQ(map.impact[2], (std::vector<char>{0, 0}));
-    EXPECT_EQ(map.always_impacted, (std::vector<char>{0, 0}));
-
-    EXPECT_TRUE(map.region_impacted(0, {0}));
-    EXPECT_FALSE(map.region_impacted(1, {0}));
-    EXPECT_FALSE(map.region_impacted(0, {2}));
-    // Out-of-map probe signals are conservatively impacted everywhere.
-    EXPECT_TRUE(map.region_impacted(0, {static_cast<std::int32_t>(S)}));
-}
-
-TEST(RegionImpact, VectorWindowSmearsAcrossRegions) {
-    // A vectorizable load (signal 0) and a vectorizable add (signal 1)
-    // with a branch between them, closed by a scalar barrier (signal 2):
-    // the vectorizer may bucket the load/add and relocate their cost
-    // anywhere up to the barrier, so BOTH signals smear over BOTH regions.
-    // The barrier itself cannot drift and stays exactly attributed.
-    const std::size_t S = 3;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_mem(sim::InstrKind::Load, tags.at(0), true, 0));
-    program.instrs.push_back(make_branch());
-    program.instrs.push_back(make_arith(tags.at(1), true));
-    program.instrs.push_back(make_arith(tags.at(2), false));
-
-    const auto map = analysis::build_region_impact(program, S);
-    ASSERT_EQ(map.region_count, 2u);
-    EXPECT_EQ(map.impact[0], (std::vector<char>{1, 1}));
-    EXPECT_EQ(map.impact[1], (std::vector<char>{1, 1}));
-    EXPECT_EQ(map.impact[2], (std::vector<char>{0, 1}));
-    EXPECT_EQ(map.always_impacted, (std::vector<char>{0, 0}));
-}
-
-TEST(RegionImpact, NonBucketableWindowStaysExact) {
-    // Vectorizable instructions that can never enter a SIMD bucket under
-    // any binding (Div is not a bucketed op) open a window but smear
-    // nothing: attribution stays exact.
-    const std::size_t S = 2;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_arith(tags.at(0), true, FpOp::Div));
-    program.instrs.push_back(make_branch());
-    program.instrs.push_back(make_arith(tags.at(1), true, FpOp::Div));
-
-    const auto map = analysis::build_region_impact(program, S);
-    ASSERT_EQ(map.region_count, 2u);
-    EXPECT_EQ(map.impact[0], (std::vector<char>{1, 0}));
-    EXPECT_EQ(map.impact[1], (std::vector<char>{0, 1}));
-}
-
-TEST(RegionImpact, StreamRoundTripChargesTheArraySignal) {
-    // A value produced in signal 1, stored into signal 0's array, then
-    // loaded back in a later region: the memory round trip is charged to
-    // the ARRAY's signal at both ends (store and load carry signal 0's
-    // format under every binding), and the producer's region is charged
-    // to signal 1 — but signal 1 never impacts the later load's region.
-    const std::size_t S = 3;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_arith(tags.at(1), false));
-    program.instrs.push_back(
-        make_mem(sim::InstrKind::Store, tags.at(0), false, 0));
-    program.instrs.push_back(make_branch());
-    program.instrs.push_back(
-        make_mem(sim::InstrKind::Load, tags.at(0), false, 0));
-
-    const auto map = analysis::build_region_impact(program, S);
-    ASSERT_EQ(map.region_count, 2u);
-    EXPECT_EQ(map.impact[0], (std::vector<char>{1, 1}));
-    EXPECT_EQ(map.impact[1], (std::vector<char>{1, 0}));
-    EXPECT_EQ(map.impact[2], (std::vector<char>{0, 0}));
-}
-
-TEST(RegionImpact, CastsTouchBothSignalsAndUnknownTagsAlwaysImpact) {
-    const std::size_t S = 2;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_cast(tags.at(0), tags.at(1), 0, 1));
-    program.instrs.push_back(make_branch());
-    // binary32 is no signal's tag: the region must be pessimized.
-    program.instrs.push_back(make_arith(kBinary32, false));
-
-    const auto map = analysis::build_region_impact(program, S);
-    ASSERT_EQ(map.region_count, 2u);
-    EXPECT_EQ(map.impact[0], (std::vector<char>{1, 0}));
-    EXPECT_EQ(map.impact[1], (std::vector<char>{1, 0}));
-    EXPECT_EQ(map.always_impacted, (std::vector<char>{0, 1}));
-    EXPECT_TRUE(map.region_impacted(1, {}));
-}
-
-TEST(RegionImpact, CollectsAndFoldsCastSites) {
-    const std::size_t S = 3;
-    const auto tags = analysis::tagging_config(S);
-    sim::TraceProgram program;
-    program.instrs.push_back(make_cast(tags.at(0), tags.at(1), 0, 1));
-    program.instrs.push_back(make_cast(tags.at(1), tags.at(2), 1, 2));
-    program.instrs.push_back(make_cast(tags.at(0), tags.at(1), 3, 4));
-    sim::Instr from_int = make_cast(tags.at(2), tags.at(2), -1, 5);
-    from_int.op = FpOp::FromInt;
-    program.instrs.push_back(from_int); // not a format-boundary cast
-
-    const auto sites = analysis::collect_cast_sites(program, S);
-    ASSERT_EQ(sites.size(), 2u);
-    EXPECT_EQ(sites[0].src_signal, 0);
-    EXPECT_EQ(sites[0].dst_signal, 1);
-    EXPECT_EQ(sites[0].first_instr, 0u);
-    EXPECT_EQ(sites[0].occurrences, 2u);
-    EXPECT_EQ(sites[1].src_signal, 1);
-    EXPECT_EQ(sites[1].dst_signal, 2);
-    EXPECT_EQ(sites[1].occurrences, 1u);
 }
 
 // --- analyze: dead-cast lint -------------------------------------------------

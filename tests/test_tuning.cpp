@@ -1,11 +1,13 @@
 #include "tuning/search.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
 #include "tuning/config_io.hpp"
+#include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
 
 namespace {
@@ -336,6 +338,34 @@ TEST(Search, WarmStartIsValidatedAgainstTheSignalTable) {
     short_bounds.seed_bits.assign(n, 12);
     short_bounds.upper_bounds.assign(n - 1, 12); // bounds are all-or-none
     expect_rejected(short_bounds);
+}
+
+// A request no search can answer — no input sets, or an epsilon that is
+// NaN, infinite, zero or negative — throws std::invalid_argument before
+// the engine runs anything, static bounds or not: no golden run, no trial.
+TEST(Search, MalformedRequestIsRejectedBeforeAnyRun) {
+    auto app = tp::apps::make_app("dwt");
+    tp::tuning::EvalEngine engine{
+        *app, tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+
+    for (const bool static_bounds : {false, true}) {
+        auto no_sets = fast_options(1e-2, tp::TypeSystemKind::V2);
+        no_sets.input_sets = {};
+        no_sets.static_bounds = static_bounds;
+        EXPECT_THROW((void)distributed_search(engine, no_sets),
+                     std::invalid_argument);
+
+        for (const double epsilon :
+             {std::numeric_limits<double>::quiet_NaN(),
+              std::numeric_limits<double>::infinity(), 0.0, -1e-2}) {
+            auto bad = fast_options(epsilon, tp::TypeSystemKind::V2);
+            bad.static_bounds = static_bounds;
+            EXPECT_THROW((void)distributed_search(engine, bad),
+                         std::invalid_argument)
+                << "epsilon " << epsilon;
+        }
+    }
+    EXPECT_EQ(engine.stats(), tp::tuning::EvalStats{});
 }
 
 // A warm start seeded from a result at the SAME requirement can only

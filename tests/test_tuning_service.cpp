@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,6 +109,30 @@ TEST(TuningService, UnknownAppRejectsBatchBeforeScheduling) {
     // The pca engine may exist (requests resolve in order), but no search
     // ran: the failing batch submitted no trials.
     EXPECT_EQ(service.stats().trials, 0u);
+}
+
+// A malformed request fails its own ticket with the search's typed error
+// and nothing else: a valid request submitted beside it completes with
+// the bits of a direct search.
+TEST(TuningService, MalformedRequestFailsOnlyItsOwnTicket) {
+    TuningService service{TuningService::Options{.threads = 2}};
+    const TuningRequest valid = request_for("dwt", 1e-2);
+    TuningRequest malformed = valid;
+    malformed.epsilon = std::numeric_limits<double>::quiet_NaN();
+
+    const tp::tuning::TicketHandle bad =
+        service.submit(tp::tuning::Request{.work = malformed});
+    const tp::tuning::TicketHandle good =
+        service.submit(tp::tuning::Request{.work = valid});
+
+    EXPECT_THROW((void)bad.get(), std::invalid_argument);
+    EXPECT_EQ(bad.status(), tp::tuning::RequestStatus::kFailed);
+
+    const auto app = tp::apps::make_app("dwt");
+    SearchOptions options = fast_options();
+    options.epsilon = valid.epsilon;
+    options.input_sets = valid.input_sets;
+    EXPECT_TRUE(good.search_result() == distributed_search(*app, options));
 }
 
 // The exactness half of the single-flight contract: the same overlapping
