@@ -180,7 +180,7 @@ TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
         instr.fmt2 = format;
         instr.vectorizable = in_vector_region();
         instr.dst = id = next_id();
-        trace_.push_back(instr);
+        push(instr);
     }
     if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
     const double raw = static_cast<double>(value);
@@ -198,7 +198,7 @@ void TpContext::int_ops(int n) {
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::IntAlu;
-        trace_.push_back(instr);
+        push(instr);
     }
 }
 
@@ -207,7 +207,7 @@ void TpContext::branch(int n) {
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::Branch;
-        trace_.push_back(instr);
+        push(instr);
     }
 }
 
@@ -223,7 +223,7 @@ std::int32_t TpContext::emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
     instr.src2 = src2;
     instr.src3 = src3;
     instr.dst = next_id();
-    trace_.push_back(instr);
+    push(instr);
     return instr.dst;
 }
 
@@ -236,7 +236,7 @@ void TpContext::emit_cmp(FpFormat fmt, std::int32_t src1, std::int32_t src2) {
     instr.vectorizable = false; // compares feed control flow, never SIMD
     instr.src1 = src1;
     instr.src2 = src2;
-    trace_.push_back(instr);
+    push(instr);
 }
 
 std::int32_t TpContext::emit_cast(FpFormat from, FpFormat to, std::int32_t src) {
@@ -248,7 +248,7 @@ std::int32_t TpContext::emit_cast(FpFormat from, FpFormat to, std::int32_t src) 
     instr.vectorizable = in_vector_region();
     instr.src1 = src;
     instr.dst = next_id();
-    trace_.push_back(instr);
+    push(instr);
     return instr.dst;
 }
 
@@ -261,7 +261,7 @@ std::int32_t TpContext::emit_load(std::uint32_t stream, FpFormat fmt) {
     instr.stream = stream;
     instr.vectorizable = in_vector_region();
     instr.dst = next_id();
-    trace_.push_back(instr);
+    push(instr);
     return instr.dst;
 }
 
@@ -274,7 +274,7 @@ void TpContext::emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src)
     instr.stream = stream;
     instr.vectorizable = in_vector_region();
     instr.src1 = src;
-    trace_.push_back(instr);
+    push(instr);
 }
 
 TraceProgram TpContext::take_program(bool apply_simd) {
@@ -287,7 +287,10 @@ TraceProgram TpContext::take_program(bool apply_simd) {
     values_.clear();
     taps_.clear();
     value_count_ = 0;
-    if (apply_simd) vectorize(program);
+    // With no vectorizable instruction the pass would copy the trace
+    // unchanged, so only traces that entered a vector region run it.
+    if (apply_simd && any_vectorizable_) vectorize(program);
+    any_vectorizable_ = false;
     return program;
 }
 

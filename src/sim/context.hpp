@@ -204,7 +204,8 @@ public:
 
     /// Hands the recorded trace out (and resets the context's trace state).
     /// `apply_simd` runs the vectorization pass, modelling the SIMD-enabled
-    /// toolchain; pass false for the scalar baseline.
+    /// toolchain; pass false for the scalar baseline. A trace that never
+    /// entered a vector region has nothing to pack, and skips the pass.
     [[nodiscard]] TraceProgram take_program(bool apply_simd);
 
 private:
@@ -213,6 +214,12 @@ private:
 
     std::int32_t next_id() noexcept {
         return static_cast<std::int32_t>(value_count_++);
+    }
+
+    /// Appends a captured instruction, noting whether any was vectorizable.
+    void push(const Instr& instr) {
+        any_vectorizable_ = any_vectorizable_ || instr.vectorizable;
+        trace_.push_back(instr);
     }
 
     std::int32_t emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
@@ -248,6 +255,7 @@ private:
 
     Config config_;
     Trace trace_;
+    bool any_vectorizable_ = false; // trace_ holds a vectorizable instruction
     std::size_t value_count_ = 0;
     std::uint32_t next_stream_ = 1;
     std::vector<ValueRecord> values_;

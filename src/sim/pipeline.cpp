@@ -47,9 +47,14 @@ PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access
                 next_free_slot += addr_ops_per_access;
                 result.issue_slots += static_cast<std::uint64_t>(addr_ops_per_access);
             }
+            // Members are adjacent and never consume each other, so every
+            // source is read before any member's result is booked.
             std::int64_t issue = next_free_slot;
-            for (std::int32_t src : group.srcs) {
-                issue = std::max(issue, ready_of(src));
+            for (std::size_t m = group.first_index; m <= i; ++m) {
+                const Instr& member = program.instrs[m];
+                issue = std::max(issue, ready_of(member.src1));
+                issue = std::max(issue, ready_of(member.src2));
+                issue = std::max(issue, ready_of(member.src3));
             }
             result.stall_cycles +=
                 static_cast<std::uint64_t>(issue - next_free_slot);
@@ -57,8 +62,9 @@ PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access
             if (group.kind == InstrKind::FpArith) {
                 lat = fpu::latency_cycles(group.op, group.fmt);
             }
-            for (std::int32_t dst : group.dsts) {
-                ready[static_cast<std::size_t>(dst)] = issue + lat;
+            for (std::size_t m = group.first_index; m <= i; ++m) {
+                const std::int32_t dst = program.instrs[m].dst;
+                if (dst >= 0) ready[static_cast<std::size_t>(dst)] = issue + lat;
             }
             next_free_slot = issue + 1;
             ++result.issue_slots;

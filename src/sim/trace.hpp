@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "flexfloat/stats.hpp"
@@ -52,15 +53,21 @@ struct Instr {
     }
 };
 
+// Capture and simulation stream 32 bytes per instruction, and the
+// vectorize pass rewrites the trace in place by copying instructions by
+// value: guard both properties.
+static_assert(sizeof(Instr) == 32, "Instr layout changed: 32 bytes expected");
+static_assert(std::is_trivially_copyable_v<Instr>);
+
 using Trace = std::vector<Instr>;
 
 /// A SIMD group created by the vectorization pass: `lanes` element
 /// operations retired by a single instruction slot. Member instructions are
-/// adjacent in the rewritten trace; the group issues at `last_index`.
+/// adjacent in the rewritten trace, at indices first_index..last_index; the
+/// group issues at `last_index`.
 struct SimdGroup {
-    std::vector<std::int32_t> dsts;
-    std::vector<std::int32_t> srcs;
-    std::size_t last_index = 0; // trace index at which the group issues
+    std::size_t first_index = 0; // trace index of the first member
+    std::size_t last_index = 0;  // trace index at which the group issues
     int lanes = 0;
     int bytes = 0; // total access width for packed Load/Store groups
     InstrKind kind = InstrKind::FpArith;

@@ -1,9 +1,9 @@
 #include "sim/vectorize.hpp"
 
+#include <array>
 #include <cassert>
-#include <map>
 #include <tuple>
-#include <unordered_map>
+#include <vector>
 
 namespace tp::sim {
 namespace {
@@ -22,32 +22,45 @@ struct GroupKey {
     friend bool operator<(const GroupKey& a, const GroupKey& b) noexcept {
         return a.tie() < b.tie();
     }
+    friend bool operator==(const GroupKey&, const GroupKey&) = default;
 };
 
 /// Rewrites a trace so that groupable element operations inside tagged
 /// vector regions become adjacent SIMD groups, preserving dependency order.
 /// This mirrors what a sub-word vectorizing compiler does with an unrolled
 /// loop body: packs independent lanes, keeps serial chains scalar.
+///
+/// The rewrite runs in place. Every instruction read is emitted exactly
+/// once, and only after it was read, so the write cursor never passes the
+/// read cursor; the instruction being read is copied out first.
 class Vectorizer {
 public:
-    explicit Vectorizer(TraceProgram& program) : program_(program) {}
+    explicit Vectorizer(TraceProgram& program)
+        : program_(program), pending_(program.value_count, kNone) {}
 
     void run() {
-        Trace input = std::move(program_.instrs);
-        program_.instrs = Trace{};
-        program_.instrs.reserve(input.size());
         program_.groups.clear();
-
-        for (const Instr& instr : input) {
+        Trace& instrs = program_.instrs;
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+            const Instr instr = instrs[i];
+            read_end_ = i + 1;
             process(instr);
         }
         flush_all();
-        program_.instrs.shrink_to_fit();
+        assert(out_ == instrs.size());
     }
 
 private:
+    static constexpr std::int32_t kNone = -1;
+    static constexpr int kMaxLanes = 4; // 4 x 8-bit lanes in a 32-bit slice
+
+    /// One bucket slot. An open bucket collects members of one key until it
+    /// fills or a consumer forces it out; an empty slot is free for the next
+    /// key that opens. At most one bucket per key is open.
     struct Bucket {
-        std::vector<Instr> members;
+        GroupKey key;
+        std::array<Instr, kMaxLanes> members{};
+        int size = 0; // 0 = free slot
     };
 
     void process(const Instr& instr) {
@@ -75,18 +88,22 @@ private:
         }
 
         const GroupKey key = key_of(instr);
+        std::int32_t slot = open_slot(key);
         // A member must not consume a value pending in its own bucket —
         // that would fuse a serial chain into one SIMD slot. Commit the
         // open bucket and start a fresh one with this instruction.
-        if (consumes_from(instr, key)) {
-            commit(key);
+        if (slot != kNone && consumes_from(instr, slot)) {
+            commit(slot);
+            slot = kNone;
         }
-        Bucket& fresh = buckets_[key]; // commit() may have erased it
-        fresh.members.push_back(instr);
-        if (instr.dst >= 0) pending_dst_[instr.dst] = key;
-        if (static_cast<int>(fresh.members.size()) == lanes) {
-            commit(key);
-        }
+        if (slot == kNone) slot = open_bucket(key);
+        if (instr.dst >= 0) pending(instr.dst) = slot;
+        Bucket& bucket = buckets_[static_cast<std::size_t>(slot)];
+        bucket.members[static_cast<std::size_t>(bucket.size++)] = instr;
+        // Members of one key agree on their lane count, so a bucket commits
+        // exactly when full; `>=` keeps a hand-built trace that mixes access
+        // widths within one key inside the fixed capacity.
+        if (bucket.size >= lanes) commit(slot);
     }
 
     [[nodiscard]] static bool groupable(const Instr& instr) noexcept {
@@ -122,13 +139,38 @@ private:
         return key;
     }
 
-    [[nodiscard]] bool consumes_from(const Instr& instr, const GroupKey& key) const {
-        for (std::int32_t src : {instr.src1, instr.src2, instr.src3}) {
-            if (src < 0) continue;
-            const auto it = pending_dst_.find(src);
-            if (it != pending_dst_.end() && !(it->second < key) && !(key < it->second)) {
-                return true;
+    /// Slot of the open bucket for `key`, or kNone. Only a handful of
+    /// buckets are ever open at once, so a linear scan is the fast lookup.
+    [[nodiscard]] std::int32_t open_slot(const GroupKey& key) const noexcept {
+        for (std::size_t s = 0; s < buckets_.size(); ++s) {
+            if (buckets_[s].size > 0 && buckets_[s].key == key) {
+                return static_cast<std::int32_t>(s);
             }
+        }
+        return kNone;
+    }
+
+    /// Claims a free slot for `key`; the caller adds its first member.
+    std::int32_t open_bucket(const GroupKey& key) {
+        std::size_t s = 0;
+        while (s < buckets_.size() && buckets_[s].size > 0) ++s;
+        if (s == buckets_.size()) buckets_.emplace_back();
+        buckets_[s].key = key;
+        return static_cast<std::int32_t>(s);
+    }
+
+    /// Pending-table entry of SSA id `id` (>= 0). The table is sized from
+    /// value_count; a hand-built program whose ids exceed it grows the
+    /// table instead of indexing past it.
+    std::int32_t& pending(std::int32_t id) {
+        const auto index = static_cast<std::size_t>(id);
+        if (index >= pending_.size()) pending_.resize(index + 1, kNone);
+        return pending_[index];
+    }
+
+    [[nodiscard]] bool consumes_from(const Instr& instr, std::int32_t slot) {
+        for (std::int32_t src : {instr.src1, instr.src2, instr.src3}) {
+            if (src >= 0 && pending(src) == slot) return true;
         }
         return false;
     }
@@ -136,8 +178,8 @@ private:
     void flush_producers_of(const Instr& instr) {
         for (std::int32_t src : {instr.src1, instr.src2, instr.src3}) {
             if (src < 0) continue;
-            const auto it = pending_dst_.find(src);
-            if (it != pending_dst_.end()) commit(it->second);
+            const std::int32_t slot = pending(src);
+            if (slot != kNone) commit(slot);
         }
     }
 
@@ -146,57 +188,76 @@ private:
     /// the unit simply silences the unused lanes). Producers pending in
     /// other buckets are committed first so the output trace stays in
     /// dependency order.
-    void commit(GroupKey key) {
-        const auto bucket_it = buckets_.find(key);
-        if (bucket_it == buckets_.end()) return;
-        Bucket bucket = std::move(bucket_it->second);
-        buckets_.erase(bucket_it);
-        for (const Instr& m : bucket.members) {
-            if (m.dst >= 0) pending_dst_.erase(m.dst);
+    void commit(std::int32_t slot) {
+        const auto s = static_cast<std::size_t>(slot);
+        const int size = buckets_[s].size;
+        assert(size > 0 && "pending entries name open buckets only");
+        buckets_[s].size = 0;
+        for (int k = 0; k < size; ++k) {
+            const Instr& m = buckets_[s].members[static_cast<std::size_t>(k)];
+            if (m.dst >= 0) pending(m.dst) = kNone;
         }
-        for (const Instr& m : bucket.members) {
-            flush_producers_of(m);
+        // Committing producers only closes buckets, never opens one, so
+        // this slot's members stay in place across the recursion.
+        for (int k = 0; k < size; ++k) {
+            flush_producers_of(buckets_[s].members[static_cast<std::size_t>(k)]);
         }
-        if (bucket.members.size() == 1) {
+        Bucket& bucket = buckets_[s];
+        if (size == 1) {
             Instr scalar = bucket.members.front();
             scalar.simd_group = 0;
-            program_.instrs.push_back(scalar);
+            write(scalar);
             return;
         }
 
         SimdGroup group;
-        group.lanes = static_cast<int>(bucket.members.size());
-        group.kind = key.kind;
-        group.op = key.op;
-        group.fmt = key.fmt;
+        group.first_index = out_;
+        group.lanes = size;
+        group.kind = bucket.key.kind;
+        group.op = bucket.key.op;
+        group.fmt = bucket.key.fmt;
         const auto group_id = static_cast<std::uint32_t>(program_.groups.size() + 1);
-        for (Instr m : bucket.members) {
+        for (int k = 0; k < size; ++k) {
+            Instr m = bucket.members[static_cast<std::size_t>(k)];
             m.simd_group = group_id;
-            if (m.dst >= 0) group.dsts.push_back(m.dst);
-            if (m.src1 >= 0) group.srcs.push_back(m.src1);
-            if (m.src2 >= 0) group.srcs.push_back(m.src2);
-            if (m.src3 >= 0) group.srcs.push_back(m.src3);
             group.bytes += m.bytes;
-            program_.instrs.push_back(m);
+            write(m);
         }
-        group.last_index = program_.instrs.size() - 1;
-        program_.groups.push_back(std::move(group));
+        group.last_index = out_ - 1;
+        program_.groups.push_back(group);
     }
 
+    /// Commits open buckets in ascending key order.
     void flush_all() {
-        while (!buckets_.empty()) {
-            commit(buckets_.begin()->first);
+        for (;;) {
+            std::size_t first = buckets_.size();
+            for (std::size_t s = 0; s < buckets_.size(); ++s) {
+                if (buckets_[s].size > 0 &&
+                    (first == buckets_.size() || buckets_[s].key < buckets_[first].key)) {
+                    first = s;
+                }
+            }
+            if (first == buckets_.size()) return;
+            commit(static_cast<std::int32_t>(first));
         }
     }
 
     void emit_scalar(const Instr& instr) {
-        program_.instrs.push_back(instr);
+        write(instr);
         assert(instr.simd_group == 0);
     }
 
+    void write(const Instr& instr) noexcept {
+        assert(out_ < read_end_ && "in-place rewrite must trail the read cursor");
+        program_.instrs[out_++] = instr;
+    }
+
     TraceProgram& program_;
-    std::map<GroupKey, Bucket> buckets_;
-    std::unordered_map<std::int32_t, GroupKey> pending_dst_;
+    std::vector<Bucket> buckets_;
+    /// SSA id -> slot of the open bucket that will produce it, or kNone.
+    std::vector<std::int32_t> pending_;
+    std::size_t out_ = 0;      // write cursor into program_.instrs
+    std::size_t read_end_ = 0; // instructions read so far
 };
 
 } // namespace

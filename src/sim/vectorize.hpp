@@ -14,11 +14,21 @@
 
 namespace tp::sim {
 
-/// Annotates `program` in place with SIMD groups. Instructions that join a
-/// group get a non-zero simd_group id; the group issues at the trace index
-/// of its last member. Groups never span a vector-region boundary (the
-/// builder flushes keys when the region closes, yielding partially filled
-/// groups only as scalars).
+/// Annotates `program` with SIMD groups, rewriting `program.instrs` in
+/// place (same length, members of a group moved next to each other).
+/// Instructions that join a group get a non-zero simd_group id; the group
+/// issues at the trace index of its last member.
+///
+/// The pass sees only the per-instruction `vectorizable` tag, not region
+/// boundaries. Open groups close at the next non-vectorizable FP or memory
+/// instruction, or when a member's producer or consumer forces them out;
+/// integer and branch instructions pass through, so two regions separated
+/// only by loop plumbing can share a group. A closed group of two or more
+/// members becomes a SIMD group even when partially filled (the unit
+/// silences the unused lanes); a lone member stays scalar.
+///
+/// TpContext::take_program(true) skips the pass on a trace with no
+/// vectorizable instruction, where it would change nothing.
 void vectorize(TraceProgram& program);
 
 /// Lanes a format's width allows in a 32-bit datapath (1, 2 or 4).
