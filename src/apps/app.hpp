@@ -11,23 +11,30 @@
 //     with dense SignalIds in declaration order;
 //   * generates deterministic synthetic inputs per input-set index (the
 //     tuner's statistical refinement runs over several input sets);
-//   * runs its kernel against a TpContext under an arbitrary per-signal
-//     format assignment, inserting explicit casts where differently-typed
-//     values meet (the type system forbids implicit mixing), and tagging
-//     its vectorizable sections.
+//   * writes its kernel once, as `template <class Ctx> kernel(Ctx&,
+//     const TypeConfig&)` under an arbitrary per-signal format assignment,
+//     inserting explicit casts where differently-typed values meet (the
+//     type system forbids implicit mixing), and tagging its vectorizable
+//     sections.
 //
-// One kernel source therefore serves as: the binary32 baseline, every
-// precision-tuning trial, the final mixed-format build, and the traced
-// run measured by the virtual platform.
+// KernelApp<Derived> instantiates that kernel twice and App::run picks one
+// per call: on sim::TpContext for the traced run the virtual platform
+// measures, and on sim::PlainContext — inline values, nothing recorded —
+// for the binary64 golden reference, every precision-tuning trial and the
+// final mixed-format build. Both instantiations compute bit-identical
+// outputs and FlexFloat statistics.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/signal_table.hpp"
+#include "flexfloat/arith_backend.hpp"
 #include "sim/context.hpp"
+#include "sim/plain_context.hpp"
 #include "types/format.hpp"
 
 namespace tp::apps {
@@ -106,7 +113,9 @@ public:
     virtual void prepare(unsigned input_set) = 0;
 
     /// Executes the kernel under `config` and returns the program output
-    /// (the sequence the quality constraint is evaluated on).
+    /// (the sequence the quality constraint is evaluated on). A traced
+    /// `ctx` records the run; an untraced one only selects the plain
+    /// instantiation (see KernelApp).
     virtual std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) = 0;
 
     /// Same format for every signal (e.g. the binary32 baseline).
@@ -140,9 +149,34 @@ private:
 /// All registered applications, in app_names() order.
 [[nodiscard]] std::vector<std::unique_ptr<App>> make_all_apps();
 
+/// The one dispatch between a kernel's two instantiations. `Derived`
+/// provides
+///     template <class Ctx>
+///     std::vector<double> kernel(Ctx& ctx, const TypeConfig& config);
+/// written against Ctx's surface (Ctx::Value, Ctx::Array, constant,
+/// from_int, make_array, int_ops, branch, loop_iteration, vector_region).
+/// A traced context runs it on itself; an untraced one runs it on a local
+/// sim::PlainContext, under the context's force_emulated policy.
+template <class Derived>
+class KernelApp : public App {
+public:
+    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) final {
+        Derived& self = static_cast<Derived&>(*this);
+        if (ctx.tracing()) return self.kernel(ctx, config);
+        const arith::ScopedForceEmulated backend{ctx.force_emulated()};
+        sim::PlainContext plain;
+        return self.kernel(plain, config);
+    }
+
+private:
+    friend Derived; // only the app it instantiates derives from it
+    explicit KernelApp(std::vector<SignalSpec> specs) : App(std::move(specs)) {}
+};
+
 /// Casts `v` to `format` unless it already has it (emitting the cast
 /// instruction a mixed-format expression requires).
-[[nodiscard]] inline sim::TpValue to(const sim::TpValue& v, FpFormat format) {
+template <class Value>
+[[nodiscard]] inline Value to(const Value& v, FpFormat format) {
     return v.format() == format ? v : v.cast_to(format);
 }
 

@@ -17,13 +17,13 @@ constexpr std::size_t kImage = 20;           // input side
 constexpr std::size_t kKernel = 5;           // kernel side
 constexpr std::size_t kOut = kImage - kKernel + 1; // valid convolution
 
-class Conv final : public App {
+class Conv final : public KernelApp<Conv> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kImageSig, kKernelSig, kAccSig, kOutSig };
 
     Conv()
-        : App({
+        : KernelApp({
               {"image", kImage * kImage},   // input pixels
               {"kernel", kKernel * kKernel},// filter weights
               {"acc", 1},                   // tap accumulator register
@@ -68,32 +68,35 @@ public:
         kernel_[2 * kKernel + 2] = 1.0 - ring_sum; // normalized to sum 1
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat image_f = config.at(kImageSig);
         const FpFormat kernel_f = config.at(kKernelSig);
         const FpFormat acc_f = config.at(kAccSig);
         const FpFormat out_f = config.at(kOutSig);
 
-        sim::TpArray image = ctx.make_array(image_f, image_.size());
-        sim::TpArray kernel = ctx.make_array(kernel_f, kernel_.size());
-        sim::TpArray out = ctx.make_array(out_f, kOut * kOut);
+        Array image = ctx.make_array(image_f, image_.size());
+        Array kernel = ctx.make_array(kernel_f, kernel_.size());
+        Array out = ctx.make_array(out_f, kOut * kOut);
         for (std::size_t i = 0; i < image_.size(); ++i) image.set_raw(i, image_[i]);
         for (std::size_t i = 0; i < kernel_.size(); ++i) kernel.set_raw(i, kernel_[i]);
 
         // The 25 weights stay register-resident for the whole image.
-        std::array<sim::TpValue, kKernel * kKernel> w;
+        std::array<Value, kKernel * kKernel> w;
         for (std::size_t t = 0; t < w.size(); ++t) {
             w[t] = to(kernel.load(t), acc_f);
         }
 
-        const sim::TpValue zero = ctx.constant(0.0, acc_f);
+        const Value zero = ctx.constant(0.0, acc_f);
         {
             const auto region = ctx.vector_region();
             for (std::size_t oi = 0; oi < kOut; ++oi) {
                 for (std::size_t oj = 0; oj < kOut; ++oj) {
                     ctx.loop_iteration();
                     ctx.int_ops(2); // window base address
-                    std::array<sim::TpValue, 4> acc{zero, zero, zero, zero};
+                    std::array<Value, 4> acc{zero, zero, zero, zero};
                     std::size_t tap = 0;
                     for (std::size_t r = 0; r < kKernel; ++r) {
                         ctx.int_ops(1); // row address step
@@ -101,14 +104,14 @@ public:
                             // Column index bookkeeping and the tap-counter
                             // update the compiler cannot elide.
                             ctx.int_ops(2);
-                            const sim::TpValue px =
+                            const Value px =
                                 image.load((oi + r) * kImage + oj + c);
-                            const sim::TpValue prod = to(px, acc_f) * w[tap];
+                            const Value prod = to(px, acc_f) * w[tap];
                             acc[tap % 4] = acc[tap % 4] + prod;
                         }
                     }
-                    const sim::TpValue s01 = acc[0] + acc[1];
-                    const sim::TpValue s23 = acc[2] + acc[3];
+                    const Value s01 = acc[0] + acc[1];
+                    const Value s23 = acc[2] + acc[3];
                     out.store(oi * kOut + oj, to(s01 + s23, out_f));
                 }
             }

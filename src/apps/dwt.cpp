@@ -25,13 +25,13 @@ constexpr std::array<double, kTaps> kLo{
 constexpr std::array<double, kTaps> kHi{
     kLo[3], -kLo[2], kLo[1], -kLo[0]};
 
-class Dwt final : public App {
+class Dwt final : public KernelApp<Dwt> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kSignalSig, kLoSig, kHiSig, kAccSig, kApproxSig, kDetailSig };
 
     Dwt()
-        : App({
+        : KernelApp({
               {"signal", kLength},           // input samples
               {"lo", kTaps},                 // low-pass filter taps
               {"hi", kTaps},                 // high-pass filter taps
@@ -58,7 +58,10 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat signal_f = config.at(kSignalSig);
         const FpFormat lo_f = config.at(kLoSig);
         const FpFormat hi_f = config.at(kHiSig);
@@ -66,20 +69,20 @@ public:
         const FpFormat approx_f = config.at(kApproxSig);
         const FpFormat detail_f = config.at(kDetailSig);
 
-        sim::TpArray input = ctx.make_array(signal_f, kLength);
+        Array input = ctx.make_array(signal_f, kLength);
         for (std::size_t i = 0; i < kLength; ++i) input.set_raw(i, signal_[i]);
-        sim::TpArray lo = ctx.make_array(lo_f, kTaps);
-        sim::TpArray hi = ctx.make_array(hi_f, kTaps);
+        Array lo = ctx.make_array(lo_f, kTaps);
+        Array hi = ctx.make_array(hi_f, kTaps);
         for (std::size_t t = 0; t < kTaps; ++t) {
             lo.set_raw(t, kLo[t]);
             hi.set_raw(t, kHi[t]);
         }
-        sim::TpArray approx = ctx.make_array(approx_f, kLength / 2 + kLength / 4);
-        sim::TpArray detail = ctx.make_array(detail_f, kLength / 2 + kLength / 4);
+        Array approx = ctx.make_array(approx_f, kLength / 2 + kLength / 4);
+        Array detail = ctx.make_array(detail_f, kLength / 2 + kLength / 4);
 
         // Filter taps are register-resident across the whole transform.
-        std::array<sim::TpValue, kTaps> lo_r;
-        std::array<sim::TpValue, kTaps> hi_r;
+        std::array<Value, kTaps> lo_r;
+        std::array<Value, kTaps> hi_r;
         for (std::size_t t = 0; t < kTaps; ++t) {
             lo_r[t] = to(lo.load(t), acc_f);
             hi_r[t] = to(hi.load(t), acc_f);
@@ -106,29 +109,33 @@ public:
     }
 
 private:
-    void analyze(sim::TpContext& ctx, sim::TpArray& src, std::size_t src_off,
-                 std::size_t len, sim::TpArray& approx, sim::TpArray& detail,
-                 std::size_t dst_off, const std::array<sim::TpValue, kTaps>& lo_r,
-                 const std::array<sim::TpValue, kTaps>& hi_r, FpFormat acc_f) {
+    template <class Ctx>
+    void analyze(Ctx& ctx, typename Ctx::Array& src, std::size_t src_off,
+                 std::size_t len, typename Ctx::Array& approx,
+                 typename Ctx::Array& detail, std::size_t dst_off,
+                 const std::array<typename Ctx::Value, kTaps>& lo_r,
+                 const std::array<typename Ctx::Value, kTaps>& hi_r,
+                 FpFormat acc_f) {
+        using Value = typename Ctx::Value;
         const auto region = ctx.vector_region();
         for (std::size_t n = 0; n < len / 2; ++n) {
             ctx.loop_iteration();
             ctx.int_ops(2); // periodic index wrap
-            std::array<sim::TpValue, kTaps> sample;
+            std::array<Value, kTaps> sample;
             for (std::size_t t = 0; t < kTaps; ++t) {
                 const std::size_t idx = src_off + (2 * n + t) % len;
                 ctx.int_ops(2); // periodic index computation per tap
                 sample[t] = to(src.load(idx), acc_f);
             }
             // Four independent products per band, reduced by a tree.
-            std::array<sim::TpValue, kTaps> pl;
-            std::array<sim::TpValue, kTaps> ph;
+            std::array<Value, kTaps> pl;
+            std::array<Value, kTaps> ph;
             for (std::size_t t = 0; t < kTaps; ++t) {
                 pl[t] = sample[t] * lo_r[t];
                 ph[t] = sample[t] * hi_r[t];
             }
-            const sim::TpValue a = (pl[0] + pl[1]) + (pl[2] + pl[3]);
-            const sim::TpValue d = (ph[0] + ph[1]) + (ph[2] + ph[3]);
+            const Value a = (pl[0] + pl[1]) + (pl[2] + pl[3]);
+            const Value d = (ph[0] + ph[1]) + (ph[2] + ph[3]);
             approx.store(dst_off + n, to(a, approx.format()));
             detail.store(dst_off + n, to(d, detail.format()));
         }

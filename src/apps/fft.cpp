@@ -33,7 +33,7 @@ constexpr std::size_t bit_reverse(std::size_t i) {
     return r;
 }
 
-class Fft final : public App {
+class Fft final : public KernelApp<Fft> {
 public:
     // SignalIds, in declaration order: input, then per-stage twiddle
     // tables, then per-stage butterfly outputs.
@@ -52,7 +52,7 @@ public:
     };
 
     Fft()
-        : App({
+        : KernelApp({
               {"input", 2 * kN},  // interleaved re/im time samples
               {"tw0", 2},         // stage-0 twiddles (1 complex root)
               {"tw1", 4},         // stage-1 twiddles (2 complex roots)
@@ -112,16 +112,19 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat input_f = config.at(kInputSig);
 
-        sim::TpArray input = ctx.make_array(input_f, 2 * kN);
+        Array input = ctx.make_array(input_f, 2 * kN);
         for (std::size_t i = 0; i < 2 * kN; ++i) input.set_raw(i, input_[i]);
 
-        std::array<sim::TpArray*, kStages> stages{};
-        std::vector<sim::TpArray> stage_storage;
+        std::array<Array*, kStages> stages{};
+        std::vector<Array> stage_storage;
         stage_storage.reserve(kStages);
-        std::vector<sim::TpArray> tw_storage;
+        std::vector<Array> tw_storage;
         tw_storage.reserve(kStages);
         for (std::size_t s = 0; s < kStages; ++s) {
             stage_storage.push_back(
@@ -140,14 +143,14 @@ public:
 
             // The stage's twiddle roots stay register-resident across all
             // its butterfly groups.
-            std::vector<sim::TpValue> wr(half);
-            std::vector<sim::TpValue> wi(half);
+            std::vector<Value> wr(half);
+            std::vector<Value> wi(half);
             for (std::size_t j = 0; j < half; ++j) {
                 wr[j] = to(tw_storage[s].load(2 * j), acc_f);
                 wi[j] = to(tw_storage[s].load(2 * j + 1), acc_f);
             }
 
-            sim::TpArray& dst = *stages[s];
+            Array& dst = *stages[s];
             const auto region = ctx.vector_region();
             for (std::size_t base = 0; base < kN; base += 2 * half) {
                 for (std::size_t j = 0; j < half; ++j) {
@@ -158,10 +161,10 @@ public:
 
                     // Stage 0 reads the input in bit-reversed order; later
                     // stages read their predecessor's output.
-                    sim::TpValue ur;
-                    sim::TpValue ui;
-                    sim::TpValue vr;
-                    sim::TpValue vi;
+                    Value ur;
+                    Value ui;
+                    Value vr;
+                    Value vi;
                     if (s == 0) {
                         ctx.int_ops(2); // bit-reversed address generation
                         ur = to(input.load(2 * bit_reverse(a)), acc_f);
@@ -169,7 +172,7 @@ public:
                         vr = to(input.load(2 * bit_reverse(b)), acc_f);
                         vi = to(input.load(2 * bit_reverse(b) + 1), acc_f);
                     } else {
-                        sim::TpArray& src = *stages[s - 1];
+                        Array& src = *stages[s - 1];
                         ur = to(src.load(2 * a), acc_f);
                         ui = to(src.load(2 * a + 1), acc_f);
                         vr = to(src.load(2 * b), acc_f);
@@ -178,8 +181,8 @@ public:
 
                     // t = W * v (complex), then the butterfly u +- t. The
                     // four products are independent — the SIMD target.
-                    const sim::TpValue tr = vr * wr[j] - vi * wi[j];
-                    const sim::TpValue ti = vr * wi[j] + vi * wr[j];
+                    const Value tr = vr * wr[j] - vi * wi[j];
+                    const Value ti = vr * wi[j] + vi * wr[j];
                     dst.store(2 * a, ur + tr);
                     dst.store(2 * a + 1, ui + ti);
                     dst.store(2 * b, ur - tr);

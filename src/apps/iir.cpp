@@ -29,7 +29,7 @@ constexpr std::array<double, kSections> kQ{0.50979557910415918,
                                            0.89997622313641570,
                                            2.5629154477415055};
 
-class Iir final : public App {
+class Iir final : public KernelApp<Iir> {
 public:
     // SignalIds, in declaration order: input, per-section coefficient
     // tables, per-section state registers, output.
@@ -47,7 +47,7 @@ public:
     };
 
     Iir()
-        : App({
+        : KernelApp({
               {"input", kSamples},   // time-domain samples
               {"coef0", kCoeffs},    // per-section biquad coefficients
               {"coef1", kCoeffs},
@@ -100,20 +100,23 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat input_f = config.at(kInputSig);
         const FpFormat output_f = config.at(kOutputSig);
 
-        sim::TpArray input = ctx.make_array(input_f, kSamples);
+        Array input = ctx.make_array(input_f, kSamples);
         for (std::size_t i = 0; i < kSamples; ++i) input.set_raw(i, input_[i]);
-        sim::TpArray output = ctx.make_array(output_f, kSamples);
+        Array output = ctx.make_array(output_f, kSamples);
 
         // Coefficients load once and stay register-resident in their
         // section's state format for the whole record.
-        std::array<std::array<sim::TpValue, kCoeffs>, kSections> c;
-        std::array<sim::TpValue, kSections> s1;
-        std::array<sim::TpValue, kSections> s2;
-        std::vector<sim::TpArray> coef_storage;
+        std::array<std::array<Value, kCoeffs>, kSections> c;
+        std::array<Value, kSections> s1;
+        std::array<Value, kSections> s2;
+        std::vector<Array> coef_storage;
         coef_storage.reserve(kSections);
         for (std::size_t k = 0; k < kSections; ++k) {
             const FpFormat state_f = config.at(kState0Sig + k);
@@ -134,12 +137,12 @@ public:
         // The recurrence on (s1, s2) serializes the sample loop.
         for (std::size_t i = 0; i < kSamples; ++i) {
             ctx.loop_iteration();
-            sim::TpValue x = input.load(i);
+            Value x = input.load(i);
             for (std::size_t k = 0; k < kSections; ++k) {
                 ctx.int_ops(1); // section bookkeeping
                 const FpFormat state_f = config.at(kState0Sig + k);
-                const sim::TpValue xs = to(x, state_f);
-                const sim::TpValue y = xs * c[k][0] + s1[k];
+                const Value xs = to(x, state_f);
+                const Value y = xs * c[k][0] + s1[k];
                 s1[k] = (xs * c[k][1] - y * c[k][3]) + s2[k];
                 s2[k] = xs * c[k][2] - y * c[k][4];
                 x = y; // feeds the next section

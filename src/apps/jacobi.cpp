@@ -16,13 +16,13 @@ namespace {
 constexpr std::size_t kN = 16;  // grid side
 constexpr int kIterations = 150; // relaxation sweeps (errors accumulate)
 
-class Jacobi final : public App {
+class Jacobi final : public KernelApp<Jacobi> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kGridIn, kGrid, kCoeff, kTmp };
 
     Jacobi()
-        : App({
+        : KernelApp({
               {"grid_in", kN * kN}, // the initial temperature field
               {"grid", kN * kN},    // the iterated field (both buffers)
               {"coeff", 1},         // the 1/4 averaging coefficient
@@ -49,14 +49,17 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat grid_in_f = config.at(kGridIn);
         const FpFormat grid_f = config.at(kGrid);
         const FpFormat coeff_f = config.at(kCoeff);
         const FpFormat tmp_f = config.at(kTmp);
 
-        sim::TpArray front = ctx.make_array(grid_f, kN * kN);
-        sim::TpArray back = ctx.make_array(grid_f, kN * kN);
+        Array front = ctx.make_array(grid_f, kN * kN);
+        Array back = ctx.make_array(grid_f, kN * kN);
         for (std::size_t i = 0; i < init_.size(); ++i) {
             // The initial field arrives in its own (input) format before
             // entering the working grid — diffusion smooths its
@@ -67,26 +70,26 @@ public:
         }
 
         // The averaging constant lives in a register for the whole kernel.
-        const sim::TpValue coeff = to(ctx.constant(0.25, coeff_f), tmp_f);
+        const Value coeff = to(ctx.constant(0.25, coeff_f), tmp_f);
 
-        sim::TpArray* src = &front;
-        sim::TpArray* dst = &back;
+        Array* src = &front;
+        Array* dst = &back;
         for (int it = 0; it < kIterations; ++it) {
             for (std::size_t i = 1; i + 1 < kN; ++i) {
                 // Register reuse across the row sweep, as an optimizing
                 // compiler produces it: west(j+1) equals east(j), so only
                 // north, south and east are loaded per cell.
-                sim::TpValue west = src->load(i * kN);
+                Value west = src->load(i * kN);
                 for (std::size_t j = 1; j + 1 < kN; ++j) {
                     ctx.loop_iteration();
                     ctx.int_ops(2); // stencil index arithmetic
-                    const sim::TpValue north = src->load((i - 1) * kN + j);
-                    const sim::TpValue south = src->load((i + 1) * kN + j);
-                    const sim::TpValue east = src->load(i * kN + j + 1);
-                    sim::TpValue sum = north + south;
+                    const Value north = src->load((i - 1) * kN + j);
+                    const Value south = src->load((i + 1) * kN + j);
+                    const Value east = src->load(i * kN + j + 1);
+                    Value sum = north + south;
                     sum = sum + west;
                     sum = sum + east;
-                    const sim::TpValue avg = to(sum, tmp_f) * coeff;
+                    const Value avg = to(sum, tmp_f) * coeff;
                     dst->store(i * kN + j, to(avg, grid_f));
                     west = east;
                 }

@@ -21,13 +21,13 @@ constexpr std::size_t kPoints = 64;
 constexpr std::size_t kDim = 8;
 constexpr std::size_t kNeighbours = 5;
 
-class Knn final : public App {
+class Knn final : public KernelApp<Knn> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kTrain, kQuery, kDiff, kDist };
 
     Knn()
-        : App({
+        : KernelApp({
               {"train", kPoints * kDim}, // reference point coordinates
               {"query", kDim},           // the query point
               {"diff", 1},               // per-dimension difference register
@@ -48,43 +48,46 @@ public:
         for (double& x : query_) x = rng.uniform();
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat train_f = config.at(kTrain);
         const FpFormat query_f = config.at(kQuery);
         const FpFormat diff_f = config.at(kDiff);
         const FpFormat dist_f = config.at(kDist);
 
-        sim::TpArray train = ctx.make_array(train_f, train_.size());
-        sim::TpArray query = ctx.make_array(query_f, query_.size());
-        sim::TpArray dist = ctx.make_array(dist_f, kPoints);
+        Array train = ctx.make_array(train_f, train_.size());
+        Array query = ctx.make_array(query_f, query_.size());
+        Array dist = ctx.make_array(dist_f, kPoints);
         for (std::size_t i = 0; i < train_.size(); ++i) train.set_raw(i, train_[i]);
         for (std::size_t i = 0; i < query_.size(); ++i) query.set_raw(i, query_[i]);
 
         // The query is small enough to keep in FP registers across the
         // whole scan (one load + at most one cast per dimension).
-        std::array<sim::TpValue, kDim> q;
+        std::array<Value, kDim> q;
         for (std::size_t d = 0; d < kDim; ++d) {
             q[d] = to(query.load(d), diff_f);
         }
 
-        const sim::TpValue zero = ctx.constant(0.0, dist_f);
+        const Value zero = ctx.constant(0.0, dist_f);
         {
             const auto region = ctx.vector_region();
             for (std::size_t p = 0; p < kPoints; ++p) {
                 ctx.loop_iteration();
                 ctx.int_ops(1); // row base address
-                std::array<sim::TpValue, 4> acc{zero, zero, zero, zero};
+                std::array<Value, 4> acc{zero, zero, zero, zero};
                 for (std::size_t d = 0; d < kDim; d += 4) {
                     ctx.int_ops(2); // pointer update and chunk counter
                     for (std::size_t lane = 0; lane < 4; ++lane) {
-                        const sim::TpValue x = train.load(p * kDim + d + lane);
-                        const sim::TpValue delta = to(x, diff_f) - q[d + lane];
-                        const sim::TpValue sq = delta * delta;
+                        const Value x = train.load(p * kDim + d + lane);
+                        const Value delta = to(x, diff_f) - q[d + lane];
+                        const Value sq = delta * delta;
                         acc[lane] = acc[lane] + to(sq, dist_f);
                     }
                 }
-                const sim::TpValue r01 = acc[0] + acc[1];
-                const sim::TpValue r23 = acc[2] + acc[3];
+                const Value r01 = acc[0] + acc[1];
+                const Value r23 = acc[2] + acc[3];
                 dist.store(p, r01 + r23);
             }
         }
@@ -96,11 +99,11 @@ public:
         std::vector<double> nearest;
         for (std::size_t k = 0; k < kNeighbours; ++k) {
             std::size_t best = kPoints;
-            sim::TpValue best_v;
+            Value best_v;
             for (std::size_t p = 0; p < kPoints; ++p) {
                 ctx.loop_iteration();
                 if (taken[p]) continue;
-                const sim::TpValue v = dist.load(p);
+                const Value v = dist.load(p);
                 if (best == kPoints || v < best_v) {
                     best = p;
                     best_v = v;

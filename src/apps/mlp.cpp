@@ -23,7 +23,7 @@ constexpr std::size_t kOut = 4;     // output logits
 constexpr std::size_t kBatch = 8;   // samples per inference batch
 constexpr std::size_t kLanes = 4;   // dot-product unroll width
 
-class Mlp final : public App {
+class Mlp final : public KernelApp<Mlp> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId {
@@ -39,7 +39,7 @@ public:
     };
 
     Mlp()
-        : App({
+        : KernelApp({
               {"input", kBatch * kIn},     // feature vectors
               {"w1", kIn * kHidden},       // layer-1 weights
               {"b1", kHidden},             // layer-1 biases
@@ -82,7 +82,10 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat input_f = config.at(kInputSig);
         const FpFormat w1_f = config.at(kW1Sig);
         const FpFormat b1_f = config.at(kB1Sig);
@@ -93,21 +96,21 @@ public:
         const FpFormat acc2_f = config.at(kAcc2Sig);
         const FpFormat output_f = config.at(kOutputSig);
 
-        sim::TpArray input = ctx.make_array(input_f, input_.size());
-        sim::TpArray w1 = ctx.make_array(w1_f, w1_.size());
-        sim::TpArray b1 = ctx.make_array(b1_f, b1_.size());
-        sim::TpArray hidden = ctx.make_array(hidden_f, kBatch * kHidden);
-        sim::TpArray w2 = ctx.make_array(w2_f, w2_.size());
-        sim::TpArray b2 = ctx.make_array(b2_f, b2_.size());
-        sim::TpArray output = ctx.make_array(output_f, kBatch * kOut);
+        Array input = ctx.make_array(input_f, input_.size());
+        Array w1 = ctx.make_array(w1_f, w1_.size());
+        Array b1 = ctx.make_array(b1_f, b1_.size());
+        Array hidden = ctx.make_array(hidden_f, kBatch * kHidden);
+        Array w2 = ctx.make_array(w2_f, w2_.size());
+        Array b2 = ctx.make_array(b2_f, b2_.size());
+        Array output = ctx.make_array(output_f, kBatch * kOut);
         for (std::size_t i = 0; i < input_.size(); ++i) input.set_raw(i, input_[i]);
         for (std::size_t i = 0; i < w1_.size(); ++i) w1.set_raw(i, w1_[i]);
         for (std::size_t i = 0; i < b1_.size(); ++i) b1.set_raw(i, b1_[i]);
         for (std::size_t i = 0; i < w2_.size(); ++i) w2.set_raw(i, w2_[i]);
         for (std::size_t i = 0; i < b2_.size(); ++i) b2.set_raw(i, b2_[i]);
 
-        const sim::TpValue zero1 = ctx.constant(0.0, acc1_f);
-        const sim::TpValue zero2 = ctx.constant(0.0, acc2_f);
+        const Value zero1 = ctx.constant(0.0, acc1_f);
+        const Value zero2 = ctx.constant(0.0, acc2_f);
 
         for (std::size_t n = 0; n < kBatch; ++n) {
             ctx.loop_iteration();
@@ -115,7 +118,7 @@ public:
             // Layer 1: x . w1[:, h] + b1[h], then ReLU, stored to the
             // activation array. The sample's features stay in registers
             // across all hidden units.
-            std::array<sim::TpValue, kIn> x;
+            std::array<Value, kIn> x;
             for (std::size_t d = 0; d < kIn; ++d) {
                 x[d] = to(input.load(n * kIn + d), acc1_f);
             }
@@ -124,27 +127,26 @@ public:
                 for (std::size_t h = 0; h < kHidden; ++h) {
                     ctx.loop_iteration();
                     ctx.int_ops(1); // weight-column base address
-                    std::array<sim::TpValue, kLanes> acc{zero1, zero1, zero1,
-                                                         zero1};
+                    std::array<Value, kLanes> acc{zero1, zero1, zero1, zero1};
                     for (std::size_t d = 0; d < kIn; d += kLanes) {
                         ctx.int_ops(2); // pointer and chunk bookkeeping
                         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                            const sim::TpValue w = w1.load((d + lane) * kHidden + h);
+                            const Value w = w1.load((d + lane) * kHidden + h);
                             acc[lane] = acc[lane] + to(w, acc1_f) * x[d + lane];
                         }
                     }
-                    const sim::TpValue dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-                    const sim::TpValue pre = dot + to(b1.load(h), acc1_f);
+                    const Value dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+                    const Value pre = dot + to(b1.load(h), acc1_f);
                     // ReLU: the compare runs on the FP unit, the select on
                     // the integer core.
                     ctx.branch(1);
-                    const sim::TpValue act = pre > zero1 ? pre : zero1;
+                    const Value act = pre > zero1 ? pre : zero1;
                     hidden.store(n * kHidden + h, to(act, hidden_f));
                 }
             }
 
             // Layer 2: hidden . w2[:, o] + b2[o] — the logits.
-            std::array<sim::TpValue, kHidden> a;
+            std::array<Value, kHidden> a;
             for (std::size_t h = 0; h < kHidden; ++h) {
                 a[h] = to(hidden.load(n * kHidden + h), acc2_f);
             }
@@ -153,17 +155,16 @@ public:
                 for (std::size_t o = 0; o < kOut; ++o) {
                     ctx.loop_iteration();
                     ctx.int_ops(1);
-                    std::array<sim::TpValue, kLanes> acc{zero2, zero2, zero2,
-                                                         zero2};
+                    std::array<Value, kLanes> acc{zero2, zero2, zero2, zero2};
                     for (std::size_t h = 0; h < kHidden; h += kLanes) {
                         ctx.int_ops(2);
                         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                            const sim::TpValue w = w2.load((h + lane) * kOut + o);
+                            const Value w = w2.load((h + lane) * kOut + o);
                             acc[lane] = acc[lane] + to(w, acc2_f) * a[h + lane];
                         }
                     }
-                    const sim::TpValue dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-                    const sim::TpValue logit = dot + to(b2.load(o), acc2_f);
+                    const Value dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+                    const Value logit = dot + to(b2.load(o), acc2_f);
                     output.store(n * kOut + o, to(logit, output_f));
                 }
             }

@@ -22,13 +22,13 @@ constexpr std::size_t kSamples = 32;
 constexpr std::size_t kFeatures = 8;
 constexpr int kPowerIterations = 12;
 
-class Pca final : public App {
+class Pca final : public KernelApp<Pca> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kData, kMean, kCentered, kCov, kVec, kAcc, kProj };
 
     explicit Pca(bool manual_vectorization)
-        : App({
+        : KernelApp({
               {"data", kSamples * kFeatures},     // input samples
               {"mean", kFeatures},                // per-feature means
               {"centered", kSamples * kFeatures}, // centered data matrix
@@ -76,7 +76,10 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat data_f = config.at(kData);
         const FpFormat mean_f = config.at(kMean);
         const FpFormat centered_f = config.at(kCentered);
@@ -85,23 +88,23 @@ public:
         const FpFormat acc_f = config.at(kAcc);
         const FpFormat proj_f = config.at(kProj);
 
-        sim::TpArray data = ctx.make_array(data_f, data_.size());
+        Array data = ctx.make_array(data_f, data_.size());
         for (std::size_t i = 0; i < data_.size(); ++i) data.set_raw(i, data_[i]);
-        sim::TpArray mean = ctx.make_array(mean_f, kFeatures);
-        sim::TpArray centered = ctx.make_array(centered_f, data_.size());
-        sim::TpArray cov = ctx.make_array(cov_f, kFeatures * kFeatures);
-        sim::TpArray vec = ctx.make_array(vec_f, kFeatures);
-        sim::TpArray proj = ctx.make_array(proj_f, kSamples);
+        Array mean = ctx.make_array(mean_f, kFeatures);
+        Array centered = ctx.make_array(centered_f, data_.size());
+        Array cov = ctx.make_array(cov_f, kFeatures * kFeatures);
+        Array vec = ctx.make_array(vec_f, kFeatures);
+        Array proj = ctx.make_array(proj_f, kSamples);
 
-        const sim::TpValue inv_n =
+        const Value inv_n =
             ctx.constant(1.0 / static_cast<double>(kSamples), acc_f);
-        const sim::TpValue inv_n1 =
+        const Value inv_n1 =
             ctx.constant(1.0 / static_cast<double>(kSamples - 1), acc_f);
 
         // --- per-feature means --------------------------------------------
         for (std::size_t f = 0; f < kFeatures; ++f) {
             ctx.loop_iteration();
-            sim::TpValue acc = ctx.constant(0.0, acc_f);
+            Value acc = ctx.constant(0.0, acc_f);
             for (std::size_t s = 0; s < kSamples; ++s) {
                 ctx.loop_iteration();
                 ctx.int_ops(1);
@@ -120,29 +123,29 @@ public:
         for (std::size_t f = 0; f < kFeatures; ++f) {
             vec.set_raw(f, 1.0); // deterministic start
         }
-        sim::TpValue eigenvalue = ctx.constant(0.0, acc_f);
+        Value eigenvalue = ctx.constant(0.0, acc_f);
         for (int it = 0; it < kPowerIterations; ++it) {
             ctx.loop_iteration();
-            std::array<sim::TpValue, kFeatures> w;
+            std::array<Value, kFeatures> w;
             for (std::size_t i = 0; i < kFeatures; ++i) {
                 ctx.loop_iteration();
-                sim::TpValue acc = ctx.constant(0.0, acc_f);
+                Value acc = ctx.constant(0.0, acc_f);
                 for (std::size_t j = 0; j < kFeatures; ++j) {
                     ctx.loop_iteration();
                     ctx.int_ops(1);
-                    const sim::TpValue cij = cov.load(i * kFeatures + j);
-                    const sim::TpValue vj = vec.load(j);
+                    const Value cij = cov.load(i * kFeatures + j);
+                    const Value vj = vec.load(j);
                     acc = acc + to(to(cij, vec_f) * vj, acc_f);
                 }
                 w[i] = acc;
             }
-            sim::TpValue norm2 = ctx.constant(0.0, acc_f);
+            Value norm2 = ctx.constant(0.0, acc_f);
             for (std::size_t i = 0; i < kFeatures; ++i) {
                 norm2 = norm2 + w[i] * w[i];
             }
-            const sim::TpValue norm = sqrt(norm2);
+            const Value norm = sqrt(norm2);
             eigenvalue = norm;
-            const sim::TpValue rcp = ctx.constant(1.0, acc_f) / norm;
+            const Value rcp = ctx.constant(1.0, acc_f) / norm;
             for (std::size_t i = 0; i < kFeatures; ++i) {
                 vec.store(i, to(w[i] * rcp, vec_f));
             }
@@ -160,10 +163,13 @@ public:
     }
 
 private:
-    void run_centering(sim::TpContext& ctx, sim::TpArray& data, sim::TpArray& mean,
-                       sim::TpArray& centered, FpFormat centered_f) {
+    template <class Ctx>
+    void run_centering(Ctx& ctx, typename Ctx::Array& data,
+                       typename Ctx::Array& mean, typename Ctx::Array& centered,
+                       FpFormat centered_f) {
+        using Value = typename Ctx::Value;
         // The eight means fit in FP registers for the whole loop.
-        std::array<sim::TpValue, kFeatures> m;
+        std::array<Value, kFeatures> m;
         for (std::size_t f = 0; f < kFeatures; ++f) {
             m[f] = to(mean.load(f), centered_f);
         }
@@ -172,7 +178,7 @@ private:
                 ctx.loop_iteration();
                 for (std::size_t f = 0; f < kFeatures; ++f) {
                     ctx.int_ops(1);
-                    const sim::TpValue x = to(data.load(s * kFeatures + f), centered_f);
+                    const Value x = to(data.load(s * kFeatures + f), centered_f);
                     centered.store(s * kFeatures + f, x - m[f]);
                 }
             }
@@ -185,28 +191,31 @@ private:
         }
     }
 
-    void run_covariance(sim::TpContext& ctx, sim::TpArray& centered,
-                        sim::TpArray& cov, FpFormat centered_f, FpFormat cov_f,
-                        FpFormat acc_f, const sim::TpValue& inv_n1) {
+    template <class Ctx>
+    void run_covariance(Ctx& ctx, typename Ctx::Array& centered,
+                        typename Ctx::Array& cov, FpFormat centered_f,
+                        FpFormat cov_f, FpFormat acc_f,
+                        const typename Ctx::Value& inv_n1) {
+        using Value = typename Ctx::Value;
         (void)centered_f;
         const auto body = [&] {
             for (std::size_t a = 0; a < kFeatures; ++a) {
                 for (std::size_t b = a; b < kFeatures; ++b) {
                     ctx.loop_iteration();
-                    std::array<sim::TpValue, 2> acc{ctx.constant(0.0, acc_f),
-                                                    ctx.constant(0.0, acc_f)};
+                    std::array<Value, 2> acc{ctx.constant(0.0, acc_f),
+                                             ctx.constant(0.0, acc_f)};
                     for (std::size_t s = 0; s < kSamples; s += 2) {
                         ctx.loop_iteration();
                         ctx.int_ops(2);
                         for (std::size_t lane = 0; lane < 2; ++lane) {
-                            const sim::TpValue ca =
+                            const Value ca =
                                 centered.load((s + lane) * kFeatures + a);
-                            const sim::TpValue cb =
+                            const Value cb =
                                 centered.load((s + lane) * kFeatures + b);
                             acc[lane] = acc[lane] + to(ca * cb, acc_f);
                         }
                     }
-                    const sim::TpValue cab = (acc[0] + acc[1]) * inv_n1;
+                    const Value cab = (acc[0] + acc[1]) * inv_n1;
                     cov.store(a * kFeatures + b, to(cab, cov_f));
                     if (a != b) {
                         ctx.int_ops(1);
@@ -223,20 +232,23 @@ private:
         }
     }
 
-    void run_projection(sim::TpContext& ctx, sim::TpArray& centered,
-                        sim::TpArray& vec, sim::TpArray& proj, FpFormat centered_f,
-                        FpFormat vec_f, FpFormat acc_f, FpFormat proj_f) {
+    template <class Ctx>
+    void run_projection(Ctx& ctx, typename Ctx::Array& centered,
+                        typename Ctx::Array& vec, typename Ctx::Array& proj,
+                        FpFormat centered_f, FpFormat vec_f, FpFormat acc_f,
+                        FpFormat proj_f) {
+        using Value = typename Ctx::Value;
         (void)centered_f;
         const auto body = [&] {
             for (std::size_t s = 0; s < kSamples; ++s) {
                 ctx.loop_iteration();
-                std::array<sim::TpValue, 2> acc{ctx.constant(0.0, acc_f),
-                                                ctx.constant(0.0, acc_f)};
+                std::array<Value, 2> acc{ctx.constant(0.0, acc_f),
+                                         ctx.constant(0.0, acc_f)};
                 for (std::size_t f = 0; f < kFeatures; f += 2) {
                     ctx.int_ops(1);
                     for (std::size_t lane = 0; lane < 2; ++lane) {
-                        const sim::TpValue c = centered.load(s * kFeatures + f + lane);
-                        const sim::TpValue v = to(vec.load(f + lane), centered_f);
+                        const Value c = centered.load(s * kFeatures + f + lane);
+                        const Value v = to(vec.load(f + lane), centered_f);
                         acc[lane] = acc[lane] + to(c * v, acc_f);
                     }
                 }

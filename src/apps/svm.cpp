@@ -23,13 +23,13 @@ constexpr double kGamma = 0.125;
 constexpr double kCoef0 = 0.5;
 constexpr double kBias = -0.35;
 
-class Svm final : public App {
+class Svm final : public KernelApp<Svm> {
 public:
     // SignalIds, in declaration order.
     enum : SignalId { kSv, kAlpha, kInput, kDot, kKernel, kDecision };
 
     Svm()
-        : App({
+        : KernelApp({
               {"sv", kSupportVectors * kDim}, // support vector coordinates
               {"alpha", kSupportVectors},     // dual coefficients
               {"input", kQueries * kDim},     // query samples
@@ -57,7 +57,10 @@ public:
         }
     }
 
-    std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const TypeConfig& config) {
+        using Value = typename Ctx::Value;
+        using Array = typename Ctx::Array;
         const FpFormat sv_f = config.at(kSv);
         const FpFormat alpha_f = config.at(kAlpha);
         const FpFormat input_f = config.at(kInput);
@@ -65,48 +68,48 @@ public:
         const FpFormat kernel_f = config.at(kKernel);
         const FpFormat decision_f = config.at(kDecision);
 
-        sim::TpArray sv = ctx.make_array(sv_f, sv_.size());
-        sim::TpArray alpha = ctx.make_array(alpha_f, alpha_.size());
-        sim::TpArray input = ctx.make_array(input_f, input_.size());
-        sim::TpArray decision = ctx.make_array(decision_f, kQueries);
+        Array sv = ctx.make_array(sv_f, sv_.size());
+        Array alpha = ctx.make_array(alpha_f, alpha_.size());
+        Array input = ctx.make_array(input_f, input_.size());
+        Array decision = ctx.make_array(decision_f, kQueries);
         for (std::size_t i = 0; i < sv_.size(); ++i) sv.set_raw(i, sv_[i]);
         for (std::size_t i = 0; i < alpha_.size(); ++i) alpha.set_raw(i, alpha_[i]);
         for (std::size_t i = 0; i < input_.size(); ++i) input.set_raw(i, input_[i]);
 
-        const sim::TpValue gamma = ctx.constant(kGamma, kernel_f);
-        const sim::TpValue coef0 = ctx.constant(kCoef0, kernel_f);
-        const sim::TpValue bias = ctx.constant(kBias, decision_f);
-        const sim::TpValue zero_dot = ctx.constant(0.0, dot_f);
+        const Value gamma = ctx.constant(kGamma, kernel_f);
+        const Value coef0 = ctx.constant(kCoef0, kernel_f);
+        const Value bias = ctx.constant(kBias, decision_f);
+        const Value zero_dot = ctx.constant(0.0, dot_f);
 
         for (std::size_t query = 0; query < kQueries; ++query) {
             ctx.loop_iteration();
             // The query vector stays in FP registers across the SV scan.
-            std::array<sim::TpValue, kDim> x;
+            std::array<Value, kDim> x;
             for (std::size_t d = 0; d < kDim; ++d) {
                 x[d] = to(input.load(query * kDim + d), dot_f);
             }
 
-            sim::TpValue dec = ctx.constant(0.0, decision_f);
+            Value dec = ctx.constant(0.0, decision_f);
             {
                 const auto region = ctx.vector_region();
                 for (std::size_t i = 0; i < kSupportVectors; ++i) {
                     ctx.loop_iteration();
                     ctx.int_ops(1);
-                    std::array<sim::TpValue, 4> acc{zero_dot, zero_dot, zero_dot,
-                                                    zero_dot};
+                    std::array<Value, 4> acc{zero_dot, zero_dot, zero_dot,
+                                             zero_dot};
                     for (std::size_t d = 0; d < kDim; d += 4) {
                         ctx.int_ops(3); // pointer updates and chunk counter
                         for (std::size_t lane = 0; lane < 4; ++lane) {
-                            const sim::TpValue s = sv.load(i * kDim + d + lane);
+                            const Value s = sv.load(i * kDim + d + lane);
                             acc[lane] = acc[lane] + to(s, dot_f) * x[d + lane];
                         }
                     }
-                    const sim::TpValue dot =
+                    const Value dot =
                         (acc[0] + acc[1]) + (acc[2] + acc[3]);
-                    const sim::TpValue affine =
+                    const Value affine =
                         to(dot, kernel_f) * gamma + coef0;
-                    const sim::TpValue k2 = affine * affine;
-                    const sim::TpValue a = to(alpha.load(i), kernel_f);
+                    const Value k2 = affine * affine;
+                    const Value a = to(alpha.load(i), kernel_f);
                     dec = dec + to(a * k2, decision_f);
                 }
             }

@@ -1,9 +1,10 @@
 // tp::arith — the unified arithmetic-backend seam of the FlexFloat layer.
 //
 // Every rounded FP operation in this repository (the flexfloat<E, M>
-// template operators, FlexFloatDyn's runtime-format ops, and the
-// sim::TpValue/TpArray hot loop) funnels through the entry points below, so
-// the rounding semantics of the emulation live in exactly one place:
+// template operators, FlexFloatDyn's runtime-format ops, and the kernels'
+// sim::TpValue and sim::PlainValue ops) funnels through the entry points
+// below, so the rounding semantics of the emulation live in exactly one
+// place:
 //
 //     arith(op, a, b, fmt)   +, -, *, /, neg, abs, sqrt  (b ignored for unary)
 //     fma(a, b, c, fmt)      fused multiply-add, single rounding
@@ -39,7 +40,8 @@
 // selectable everywhere via
 //   * env TP_FORCE_EMULATED=1  — whole process (read once at startup);
 //   * set_force_emulated() / ScopedForceEmulated — current thread;
-//   * sim::TpContext::Config::force_emulated — one context's instructions;
+//   * sim::TpContext::Config::force_emulated — one context's instructions
+//     (untraced, a thread scope around the kernel's plain instantiation);
 //   * tuning EvalEngine Options::force_emulated — every kernel the engine
 //     runs (applied as a thread scope around trial + golden execution).
 #pragma once

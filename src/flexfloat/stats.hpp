@@ -79,6 +79,8 @@ struct OpCounts {
     [[nodiscard]] std::uint64_t arithmetic_total() const noexcept {
         return arithmetic_scalar() + arithmetic_vectorial();
     }
+
+    friend bool operator==(const OpCounts&, const OpCounts&) = default;
 };
 
 /// Collects FP operation and cast statistics. One instance per thread

@@ -171,17 +171,14 @@ void TpArray::store(std::size_t i, const TpValue& value) {
 // --- TpContext -------------------------------------------------------------
 
 TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
-    std::int32_t id = -1;
-    if (config_.trace) {
-        Instr instr;
-        instr.kind = InstrKind::FpCast;
-        instr.op = FpOp::FromInt;
-        instr.fmt = format;
-        instr.fmt2 = format;
-        instr.vectorizable = in_vector_region();
-        instr.dst = id = next_id();
-        push(instr);
-    }
+    Instr instr;
+    instr.kind = InstrKind::FpCast;
+    instr.op = FpOp::FromInt;
+    instr.fmt = format;
+    instr.fmt2 = format;
+    instr.vectorizable = in_vector_region();
+    instr.dst = next_id();
+    push(instr);
     if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
     const double raw = static_cast<double>(value);
     const double r = config_.binary64_shadow
@@ -189,12 +186,11 @@ TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
                          : (config_.force_emulated
                                 ? arith::emulated_cast(raw, format)
                                 : arith::cast(raw, format));
-    record_value(id, r, format);
-    return TpValue{this, TpContext::adopt(this, r, format), id};
+    record_value(instr.dst, r, format);
+    return TpValue{this, TpContext::adopt(this, r, format), instr.dst};
 }
 
 void TpContext::int_ops(int n) {
-    if (!config_.trace) return;
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::IntAlu;
@@ -203,7 +199,6 @@ void TpContext::int_ops(int n) {
 }
 
 void TpContext::branch(int n) {
-    if (!config_.trace) return;
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::Branch;
@@ -213,7 +208,6 @@ void TpContext::branch(int n) {
 
 std::int32_t TpContext::emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
                                 std::int32_t src2, std::int32_t src3) {
-    if (!config_.trace) return -1;
     Instr instr;
     instr.kind = InstrKind::FpArith;
     instr.op = op;
@@ -228,7 +222,6 @@ std::int32_t TpContext::emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
 }
 
 void TpContext::emit_cmp(FpFormat fmt, std::int32_t src1, std::int32_t src2) {
-    if (!config_.trace) return;
     Instr instr;
     instr.kind = InstrKind::FpArith;
     instr.op = FpOp::Cmp;
@@ -240,7 +233,6 @@ void TpContext::emit_cmp(FpFormat fmt, std::int32_t src1, std::int32_t src2) {
 }
 
 std::int32_t TpContext::emit_cast(FpFormat from, FpFormat to, std::int32_t src) {
-    if (!config_.trace) return -1;
     Instr instr;
     instr.kind = InstrKind::FpCast;
     instr.fmt = from;
@@ -253,7 +245,6 @@ std::int32_t TpContext::emit_cast(FpFormat from, FpFormat to, std::int32_t src) 
 }
 
 std::int32_t TpContext::emit_load(std::uint32_t stream, FpFormat fmt) {
-    if (!config_.trace) return -1;
     Instr instr;
     instr.kind = InstrKind::Load;
     instr.fmt = fmt;
@@ -266,7 +257,6 @@ std::int32_t TpContext::emit_load(std::uint32_t stream, FpFormat fmt) {
 }
 
 void TpContext::emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src) {
-    if (!config_.trace) return;
     Instr instr;
     instr.kind = InstrKind::Store;
     instr.fmt = fmt;

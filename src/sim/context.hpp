@@ -1,12 +1,22 @@
-// Transprecision execution context: the programming interface the
-// benchmark applications are written against.
+// Transprecision execution context: the tracing instantiation of the
+// benchmark kernels.
 //
-// A kernel computes on TpValue handles (dynamic-format FlexFloat values)
-// and TpArray storage. Every arithmetic operation, cast, load and store is
-// executed with bit-exact FlexFloat semantics *and*, when tracing is
-// enabled, recorded into the instruction trace the virtual platform
-// replays. With tracing disabled the same kernel doubles as the fast
-// re-runnable binary the precision-tuning loop needs.
+// Every application kernel is written once, as a template over its
+// execution context (apps/app.hpp), and instantiated twice:
+//
+//   * on TpContext — values are TpValue handles (dynamic-format FlexFloat
+//     values carrying an SSA id) and TpArray storage. Every arithmetic
+//     operation, cast, load and store is executed with bit-exact FlexFloat
+//     semantics AND recorded into the instruction trace the virtual
+//     platform replays. A TpContext always traces.
+//   * on sim::PlainContext (sim/plain_context.hpp) — inline
+//     {double, FpFormat} values that only compute, through the same
+//     rounding entry points: the fast re-runnable binary the
+//     precision-tuning loop needs.
+//
+// apps::App::run picks the instantiation from Config::trace, so callers
+// select untraced execution by passing an untraced TpContext to App::run;
+// calling TpValue operations directly on one is a program bug (asserted).
 //
 // Formats are per-value (per variable group in the applications), so one
 // kernel source serves the binary32 baseline, every tuning trial, and the
@@ -119,12 +129,16 @@ private:
 class TpContext {
 public:
     struct Config {
-        bool trace = true; // false: compute only (fast tuning runs)
+        /// false: apps::App::run executes the kernel's plain (untraced)
+        /// instantiation instead of tracing on this context (fast tuning
+        /// runs). The context itself always traces.
+        bool trace = true;
         /// Pin every instruction this context executes to the emulated
         /// arithmetic backend (differential testing; results are
-        /// bit-identical to the native fast path by contract). The
-        /// process/thread knobs in flexfloat/arith_backend.hpp force the
-        /// emulated path independently of this flag.
+        /// bit-identical to the native fast path by contract). Untraced,
+        /// App::run applies it as a thread scope around the plain kernel.
+        /// The process/thread knobs in flexfloat/arith_backend.hpp force
+        /// the emulated path independently of this flag.
         bool force_emulated = false;
         /// Record the concrete value (and creation format) of every SSA id
         /// into TraceProgram::values, and every TpArray::raw() readout into
@@ -147,9 +161,15 @@ public:
     explicit TpContext(Config config) : config_(config) {
         assert((!config_.record_values || config_.trace) &&
                "record_values keys value records by trace-assigned ids");
+        assert((!config_.binary64_shadow || config_.trace) &&
+               "the plain instantiation has no binary64 shadow mode");
     }
     TpContext(const TpContext&) = delete;
     TpContext& operator=(const TpContext&) = delete;
+
+    // The kernel-facing value and array types (see sim::PlainContext).
+    using Value = TpValue;
+    using Array = TpArray;
 
     /// A register-resident constant: no instruction is emitted (the value
     /// is materialized once outside the measured kernel, like FP literals
@@ -200,7 +220,6 @@ public:
     [[nodiscard]] bool force_emulated() const noexcept {
         return config_.force_emulated;
     }
-    void set_force_emulated(bool on) noexcept { config_.force_emulated = on; }
 
     /// Hands the recorded trace out (and resets the context's trace state).
     /// `apply_simd` runs the vectorization pass, modelling the SIMD-enabled
@@ -218,6 +237,8 @@ private:
 
     /// Appends a captured instruction, noting whether any was vectorizable.
     void push(const Instr& instr) {
+        assert(config_.trace &&
+               "an untraced TpContext only selects App::run's plain kernel");
         any_vectorizable_ = any_vectorizable_ || instr.vectorizable;
         trace_.push_back(instr);
     }

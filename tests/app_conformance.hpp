@@ -11,7 +11,8 @@
 //
 //   * kernel conformance — well-formed signal declarations, deterministic
 //     golden outputs that differ across input sets, a near-exact binary32
-//     baseline, traced/untraced agreement, a simulatable trace, no FP->FP
+//     baseline, bit-identical outputs and FlexFloat statistics from the
+//     traced and plain instantiations, a simulatable trace, no FP->FP
 //     casts under a uniform binding, and graceful degradation at the
 //     narrowest formats;
 //   * clone independence — a clone shares the immutable SignalTable but
@@ -27,10 +28,16 @@
 // executable includes it at most once.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +45,7 @@
 #include "analysis/range_analysis.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
+#include "flexfloat/stats.hpp"
 #include "sim/platform.hpp"
 #include "tuning/cast_aware.hpp"
 #include "tuning/eval_engine.hpp"
@@ -152,19 +160,72 @@ TEST_P(AppConformanceTest, Binary32RunIsCloseToGolden) {
         << "binary32 should be a near-exact baseline";
 }
 
+/// One App::run with the calling thread's FlexFloat statistics collected
+/// — the step-4 report of the paper's programming flow.
+struct CountedRun {
+    std::vector<double> output;
+    std::map<FpFormat, OpCounts> ops;
+    std::map<StatsRegistry::CastKey, std::array<std::uint64_t, 2>> casts;
+    std::size_t instrs = 0; // traced runs only
+};
+
+[[nodiscard]] inline CountedRun counted_run(apps::App& app, unsigned set,
+                                            const apps::TypeConfig& config,
+                                            bool trace) {
+    app.prepare(set);
+    StatsRegistry& stats = thread_stats();
+    stats.reset();
+    stats.set_enabled(true);
+    sim::TpContext ctx{sim::TpContext::Config{.trace = trace}};
+    CountedRun run;
+    run.output = app.run(ctx, config);
+    stats.set_enabled(false);
+    run.ops = stats.ops();
+    run.casts = stats.casts();
+    stats.reset();
+    if (trace) run.instrs = ctx.take_program(false).instrs.size();
+    return run;
+}
+
+// The kernel's two instantiations (apps/app.hpp KernelApp): traced on the
+// TpContext, plain when App::run gets an untraced one. They must agree bit
+// for bit — compared as bit patterns, since EXPECT_EQ on doubles accepts
+// +0 against -0 and rejects equal NaNs — and book identical FlexFloat
+// operation and cast counts, which perfbench's ns-per-op figure and the
+// examples' operation reports read.
 TEST_P(AppConformanceTest, TracedAndUntracedRunsAgree) {
     const auto app = this->app();
-    app->prepare(0);
-    sim::TpContext traced;
-    const auto out_traced = app->run(traced, app->uniform_config(kBinary32));
-    app->prepare(0);
-    sim::TpContext untraced{sim::TpContext::Config{.trace = false}};
-    const auto out_untraced = app->run(untraced, app->uniform_config(kBinary32));
-    ASSERT_EQ(out_traced.size(), out_untraced.size());
-    for (std::size_t i = 0; i < out_traced.size(); ++i) {
-        EXPECT_EQ(out_traced[i], out_untraced[i]) << i;
+    std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
+        {"binary8", app->uniform_config(kBinary8)},
+        {"binary16", app->uniform_config(kBinary16)},
+        {"binary16alt", app->uniform_config(kBinary16Alt)},
+        {"binary32", app->uniform_config(kBinary32)},
+    };
+    apps::TypeConfig mixed = app->uniform_config(kBinary16);
+    for (apps::SignalId id = 1; id < mixed.size(); id += 2) {
+        mixed.set(id, kBinary8);
     }
-    EXPECT_FALSE(traced.take_program(false).instrs.empty());
+    bindings.emplace_back("mixed", mixed);
+
+    for (const auto& [binding, config] : bindings) {
+        for (unsigned set = 0; set < 3; ++set) {
+            const std::string label =
+                GetParam() + " " + binding + " set " + std::to_string(set);
+            const CountedRun traced = counted_run(*app, set, config, true);
+            const CountedRun plain = counted_run(*app, set, config, false);
+            EXPECT_GT(traced.instrs, 0u) << label;
+            ASSERT_EQ(traced.output.size(), plain.output.size()) << label;
+            for (std::size_t i = 0; i < traced.output.size(); ++i) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(traced.output[i]),
+                          std::bit_cast<std::uint64_t>(plain.output[i]))
+                    << label << " output " << i << ": " << traced.output[i]
+                    << " vs " << plain.output[i];
+            }
+            EXPECT_FALSE(traced.ops.empty()) << label;
+            EXPECT_TRUE(traced.ops == plain.ops) << label << " op counts";
+            EXPECT_TRUE(traced.casts == plain.casts) << label << " cast counts";
+        }
+    }
 }
 
 TEST_P(AppConformanceTest, TraceSimulates) {

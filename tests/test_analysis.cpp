@@ -301,10 +301,10 @@ TEST(Analyze, InfeasibleAccumulationAtAbsurdEpsilon) {
 
 /// Minimal two-signal app whose values all sit deep in the subnormal range
 /// of the e=5 formats — the SubnormalRange lint target.
-class TinyValuesApp final : public apps::App {
+class TinyValuesApp final : public apps::KernelApp<TinyValuesApp> {
 public:
     TinyValuesApp()
-        : App({{"in", kN}, {"out", kN}}) {}
+        : KernelApp({{"in", kN}, {"out", kN}}) {}
 
     [[nodiscard]] std::string_view name() const override { return "tiny"; }
     [[nodiscard]] std::unique_ptr<App> clone() const override {
@@ -315,13 +315,13 @@ public:
             input_[i] = 1e-30 * static_cast<double>(i + 1 + input_set);
         }
     }
-    std::vector<double> run(sim::TpContext& ctx,
-                            const apps::TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const apps::TypeConfig& config) {
         auto in = ctx.make_array(config.at(0), kN);
         auto out = ctx.make_array(config.at(1), kN);
         for (std::size_t i = 0; i < kN; ++i) in.set_raw(i, input_[i]);
         for (std::size_t i = 0; i < kN; ++i) {
-            const sim::TpValue v = in.load(i);
+            const typename Ctx::Value v = in.load(i);
             out.store(i, apps::to(v + v, config.at(1)));
             ctx.loop_iteration();
         }
@@ -409,10 +409,10 @@ TEST(DeriveBounds, WarmStartIsSoundAndPrunesTrials) {
 /// tight epsilon the derived bounds pin BOTH signals' reachable member
 /// sets to {binary32}, so the in->out cast elides under every reachable
 /// binding — the DeadCast lint target.
-class CoupledPrecisionApp final : public apps::App {
+class CoupledPrecisionApp final : public apps::KernelApp<CoupledPrecisionApp> {
 public:
     CoupledPrecisionApp()
-        : App({{"in", kN}, {"out", kN}}) {}
+        : KernelApp({{"in", kN}, {"out", kN}}) {}
 
     [[nodiscard]] std::string_view name() const override { return "coupled"; }
     [[nodiscard]] std::unique_ptr<App> clone() const override {
@@ -424,13 +424,13 @@ public:
                 1.0 + 1e-6 * static_cast<double>(i + 1 + input_set);
         }
     }
-    std::vector<double> run(sim::TpContext& ctx,
-                            const apps::TypeConfig& config) override {
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& ctx, const apps::TypeConfig& config) {
         auto in = ctx.make_array(config.at(0), kN);
         auto out = ctx.make_array(config.at(1), kN);
         for (std::size_t i = 0; i < kN; ++i) in.set_raw(i, input_[i]);
         for (std::size_t i = 0; i < kN; ++i) {
-            const sim::TpValue v = in.load(i);
+            const typename Ctx::Value v = in.load(i);
             out.store(i, apps::to(v + v, config.at(1)));
             ctx.loop_iteration();
         }

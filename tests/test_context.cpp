@@ -1,15 +1,28 @@
 #include "sim/context.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/app.hpp"
+#include "flexfloat/arith_backend.hpp"
+#include "flexfloat/stats.hpp"
+#include "sim/plain_context.hpp"
 #include "sim/platform.hpp"
 #include "types/encoding.hpp"
 
 namespace {
 
 using tp::sim::InstrKind;
+using tp::sim::PlainContext;
 using tp::sim::simulate;
 using tp::sim::TpContext;
 
@@ -84,15 +97,84 @@ TEST(Context, SetRawQuantizes) {
     EXPECT_EQ(arr.raw(0), 1.0);
 }
 
+// Untraced runs execute on the plain context (App::run selects it for an
+// untraced TpContext, which itself always traces).
 TEST(Context, UntracedModeStillComputes) {
-    TpContext ctx{TpContext::Config{.trace = false}};
+    PlainContext ctx;
     auto arr = ctx.make_array(tp::kBinary16, 2);
     arr.set_raw(0, 1.5);
     const auto x = arr.load(0);
     const auto y = x * x;
     arr.store(1, y);
     EXPECT_EQ(arr.raw(1), 2.25);
-    EXPECT_TRUE(ctx.take_program(false).instrs.empty());
+}
+
+/// Every op of the kernel surface, written once over the context: the
+/// app battery checks traced/plain parity per kernel, this covers the ops
+/// no kernel uses (from_int, fma, abs, negation, division), in and out of
+/// a vector region.
+template <class Ctx>
+std::vector<double> every_op(Ctx& ctx) {
+    std::vector<double> out;
+    for (const tp::FpFormat format : {tp::kBinary8, tp::kBinary16, tp::kBinary16Alt,
+                                      tp::kBinary32, tp::kBinary64}) {
+        auto data = ctx.make_array(format, 8);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+            data.set_raw(i, 0.37 * static_cast<double>(i + 1) * (i % 2 ? -1.0 : 1.0));
+        }
+        auto acc = ctx.from_int(3, format);
+        const auto half = ctx.constant(0.5, format);
+        const auto body = [&](std::size_t i) {
+            const auto x = data.load(i);
+            acc = fma(x, half, acc) / (abs(acc) + half);
+            acc = sqrt(abs(acc)) - (x < acc ? -x : x);
+            out.push_back(static_cast<double>((x <= acc) + (x > acc) + (x >= half)));
+            data.store(i, acc);
+        };
+        for (std::size_t i = 0; i < 4; ++i) body(i);
+        {
+            const auto region = ctx.vector_region();
+            for (std::size_t i = 4; i < data.size(); ++i) body(i);
+        }
+        out.push_back(acc.cast_to(tp::kBinary16).to_double());
+        for (std::size_t i = 0; i < data.size(); ++i) out.push_back(data.raw(i));
+    }
+    return out;
+}
+
+struct CountedOps {
+    std::vector<double> out;
+    std::map<tp::FpFormat, tp::OpCounts> ops;
+    std::map<tp::StatsRegistry::CastKey, std::array<std::uint64_t, 2>> casts;
+};
+
+template <class Ctx>
+CountedOps counted_every_op(Ctx& ctx) {
+    tp::StatsRegistry& stats = tp::thread_stats();
+    stats.reset();
+    stats.set_enabled(true);
+    CountedOps run{every_op(ctx), {}, {}};
+    stats.set_enabled(false);
+    run.ops = stats.ops();
+    run.casts = stats.casts();
+    stats.reset();
+    return run;
+}
+
+TEST(Context, PlainAndTracedOpsAgree) {
+    TpContext traced;
+    PlainContext plain;
+    const CountedOps t = counted_every_op(traced);
+    const CountedOps p = counted_every_op(plain);
+    EXPECT_FALSE(traced.take_program(false).instrs.empty());
+    ASSERT_EQ(t.out.size(), p.out.size());
+    for (std::size_t i = 0; i < t.out.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t.out[i]),
+                  std::bit_cast<std::uint64_t>(p.out[i]))
+            << "element " << i << ": " << t.out[i] << " vs " << p.out[i];
+    }
+    EXPECT_TRUE(t.ops == p.ops);
+    EXPECT_TRUE(t.casts == p.casts);
 }
 
 TEST(Context, FromIntEmitsConversion) {
@@ -173,6 +255,43 @@ TEST(Context, VectorizedRunReducesAccessesAndEnergy) {
     EXPECT_EQ(simd.mem_accesses_vector, simd.mem_accesses);
     EXPECT_LT(simd.energy.total(), scalar.energy.total());
     EXPECT_LT(simd.cycles, scalar.cycles);
+}
+
+/// Test-only app whose kernel reports the backend override in force and
+/// which instantiation ran — bit identity cannot show either.
+class BackendProbeApp final : public tp::apps::KernelApp<BackendProbeApp> {
+public:
+    BackendProbeApp() : KernelApp({{"x", 1}}) {}
+
+    [[nodiscard]] std::string_view name() const override { return "probe"; }
+    [[nodiscard]] std::unique_ptr<App> clone() const override {
+        return std::make_unique<BackendProbeApp>(*this);
+    }
+    void prepare(unsigned /*input_set*/) override {}
+
+    template <class Ctx>
+    std::vector<double> kernel(Ctx& /*ctx*/, const tp::apps::TypeConfig& /*config*/) {
+        return {tp::arith::force_emulated() ? 1.0 : 0.0,
+                std::is_same_v<Ctx, PlainContext> ? 1.0 : 0.0};
+    }
+};
+
+TEST(KernelApp, UntracedForceEmulatedReachesPlainKernel) {
+    BackendProbeApp app;
+    const tp::apps::TypeConfig config = app.uniform_config(tp::kBinary32);
+    // TP_FORCE_EMULATED (set by the sanitizer CI leg) forces it everywhere.
+    const double ambient = tp::arith::force_emulated() ? 1.0 : 0.0;
+
+    TpContext forced{TpContext::Config{.trace = false, .force_emulated = true}};
+    EXPECT_EQ(app.run(forced, config), (std::vector<double>{1.0, 1.0}));
+    // The override is scoped to that run.
+    EXPECT_EQ(tp::arith::force_emulated() ? 1.0 : 0.0, ambient);
+
+    TpContext untraced{TpContext::Config{.trace = false}};
+    EXPECT_EQ(app.run(untraced, config), (std::vector<double>{ambient, 1.0}));
+
+    TpContext traced;
+    EXPECT_EQ(app.run(traced, config), (std::vector<double>{ambient, 0.0}));
 }
 
 } // namespace
