@@ -15,8 +15,8 @@
 //     results (verified bit-exact), every trial a kernel execution.
 //
 // Results (per-app counters, aggregate elimination, wall times) go to
-// BENCH_eval_engine.json; BENCH_tuning.json (bench_parallel_tuning) holds
-// the headline pca/dwt numbers tracked across PRs.
+// BENCH_eval_engine.json, the one place the per-app eliminated fractions
+// are reported.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -169,23 +169,28 @@ int main(int argc, char** argv) {
                   << '\n';
     }
 
-    // The synchronous batch API survives as a wrapper over submit():
-    // repeating the drained work through run() is pure cache. (The batch
-    // runs independent per-epsilon searches, not chained ones — but the
-    // cache keys on (input set, config), not epsilon, and the trials
-    // above cover every config these searches revisit.)
-    std::vector<TuningRequest> batch;
+    // A batch is a loop of submits, then a wait on each handle: repeating
+    // the drained work is pure cache. (These are independent per-epsilon
+    // searches, not chained ones — but the cache keys on (input set,
+    // config), not epsilon, and the trials above cover every config these
+    // searches revisit.)
+    std::vector<TicketHandle> repeats;
     for (const char* app : {"pca", "dwt"}) {
         for (const double epsilon : {1e-3, 1e-2, 1e-1}) {
             TuningRequest request;
             request.app = app;
             request.epsilon = epsilon;
-            batch.push_back(std::move(request));
+            repeats.push_back(
+                service.submit(Request{.work = std::move(request)}));
         }
     }
-    const auto repeat = service.run(batch);
-    std::cout << "re-running " << batch.size()
-              << " of those requests through run(): " << repeat.stats.kernel_runs
+    tp::tuning::EvalStats repeat;
+    for (const TicketHandle& handle : repeats) {
+        handle.wait();
+        repeat += handle.stats();
+    }
+    std::cout << "re-submitting " << repeats.size()
+              << " of those requests: " << repeat.kernel_runs
               << " kernel executions ("
               << static_cast<int>(100.0 * repeat.hit_rate())
               << "% served from cache)\n";

@@ -44,7 +44,6 @@ apps::TypeConfig staircase_config(std::size_t signal_count) {
 CapturedTrace capture_trace(apps::App& app, unsigned input_set) {
     app.prepare(input_set);
     sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                              .force_emulated = false,
                                               .record_values = true,
                                               .binary64_shadow = true}};
     CapturedTrace capture;

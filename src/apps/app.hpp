@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "apps/signal_table.hpp"
-#include "flexfloat/arith_backend.hpp"
 #include "sim/context.hpp"
 #include "sim/plain_context.hpp"
 #include "types/format.hpp"
@@ -156,14 +155,13 @@ private:
 /// written against Ctx's surface (Ctx::Value, Ctx::Array, constant,
 /// from_int, make_array, int_ops, branch, loop_iteration, vector_region).
 /// A traced context runs it on itself; an untraced one runs it on a local
-/// sim::PlainContext, under the context's force_emulated policy.
+/// sim::PlainContext.
 template <class Derived>
 class KernelApp : public App {
 public:
     std::vector<double> run(sim::TpContext& ctx, const TypeConfig& config) final {
         Derived& self = static_cast<Derived&>(*this);
         if (ctx.tracing()) return self.kernel(ctx, config);
-        const arith::ScopedForceEmulated backend{ctx.force_emulated()};
         sim::PlainContext plain;
         return self.kernel(plain, config);
     }

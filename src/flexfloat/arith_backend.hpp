@@ -39,9 +39,8 @@
 // Override knob, for differential testing: the emulated path stays
 // selectable everywhere via
 //   * env TP_FORCE_EMULATED=1  — whole process (read once at startup);
-//   * set_force_emulated() / ScopedForceEmulated — current thread;
-//   * sim::TpContext::Config::force_emulated — one context's instructions
-//     (untraced, a thread scope around the kernel's plain instantiation);
+//   * ScopedForceEmulated — current thread, until the scope ends (traced
+//     and plain kernel instantiations alike);
 //   * tuning EvalEngine Options::force_emulated — every kernel the engine
 //     runs (applied as a thread scope around trial + golden execution).
 #pragma once
@@ -212,12 +211,6 @@ template <typename T>
 /// (env TP_FORCE_EMULATED, or a programmatic thread override).
 [[nodiscard]] inline bool force_emulated() noexcept {
     return detail::g_env_force_emulated | detail::t_force_emulated;
-}
-
-/// Sets this thread's backend override (sticky; prefer ScopedForceEmulated).
-/// Clearing it does not undo the process-wide env override.
-inline void set_force_emulated(bool on) noexcept {
-    detail::t_force_emulated = on;
 }
 
 /// RAII thread-scope for the override — the differential-testing primitive:

@@ -24,14 +24,12 @@ double shadow_eval(FpOp op, double a, double b) noexcept {
     }
 }
 
-/// One rounded op through the backend seam, honoring the owning context's
-/// force_emulated policy (the arith entry points already honor the
-/// process/thread knobs) — or the unrounded binary64 result in shadow mode.
+/// One rounded op through the backend seam — or the unrounded binary64
+/// result in shadow mode.
 double routed(const TpContext* ctx, FpOp op, double a, double b,
               FpFormat format) noexcept {
     if (ctx->shadow()) return shadow_eval(op, a, b);
-    return ctx->force_emulated() ? arith::emulated(op, a, b, format)
-                                 : arith::arith(op, a, b, format);
+    return arith::arith(op, a, b, format);
 }
 
 
@@ -108,11 +106,7 @@ TpValue TpValue::ternary(FpOp op, const TpValue& a, const TpValue& b,
     const double r =
         ctx->shadow()
             ? std::fma(a.to_double(), b.to_double(), c.to_double())
-            : (ctx->force_emulated()
-                   ? arith::emulated_fma(a.to_double(), b.to_double(),
-                                         c.to_double(), fmt)
-                   : arith::fma(a.to_double(), b.to_double(), c.to_double(),
-                                fmt));
+            : arith::fma(a.to_double(), b.to_double(), c.to_double(), fmt);
     const std::int32_t id = ctx->emit_fp(op, fmt, a.id_, b.id_, c.id_);
     ctx->record_value(id, r, fmt);
     return TpValue{ctx, TpContext::adopt(ctx, r, fmt), id};
@@ -140,9 +134,7 @@ TpValue TpValue::cast_to(FpFormat target) const {
     if (stats_enabled()) thread_stats().record_cast(format(), target);
     const double r = ctx_->shadow()
                          ? to_double() // tags change, the value never rounds
-                         : (ctx_->force_emulated()
-                                ? arith::emulated_cast(to_double(), target)
-                                : arith::cast(to_double(), target));
+                         : arith::cast(to_double(), target);
     const std::int32_t id = ctx_->emit_cast(format(), target, id_);
     ctx_->record_value(id, r, target);
     return TpValue{ctx_, TpContext::adopt(ctx_, r, target), id};
@@ -181,11 +173,7 @@ TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
     push(instr);
     if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
     const double raw = static_cast<double>(value);
-    const double r = config_.binary64_shadow
-                         ? raw
-                         : (config_.force_emulated
-                                ? arith::emulated_cast(raw, format)
-                                : arith::cast(raw, format));
+    const double r = config_.binary64_shadow ? raw : arith::cast(raw, format);
     record_value(instr.dst, r, format);
     return TpValue{this, TpContext::adopt(this, r, format), instr.dst};
 }

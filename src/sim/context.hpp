@@ -77,8 +77,8 @@ private:
         : value_(value), id_(id), ctx_(ctx) {}
 
     // The ops compute their own result through the arithmetic backend
-    // (flexfloat/arith_backend.hpp), honoring the owning context's
-    // force_emulated policy; results adopt the already-rounded value.
+    // (flexfloat/arith_backend.hpp), which honors the process and thread
+    // backend overrides; results adopt the already-rounded value.
     static TpValue binary(FpOp op, const TpValue& a, const TpValue& b);
     static TpValue ternary(FpOp op, const TpValue& a, const TpValue& b,
                            const TpValue& c);
@@ -133,13 +133,6 @@ public:
         /// instantiation instead of tracing on this context (fast tuning
         /// runs). The context itself always traces.
         bool trace = true;
-        /// Pin every instruction this context executes to the emulated
-        /// arithmetic backend (differential testing; results are
-        /// bit-identical to the native fast path by contract). Untraced,
-        /// App::run applies it as a thread scope around the plain kernel.
-        /// The process/thread knobs in flexfloat/arith_backend.hpp force
-        /// the emulated path independently of this flag.
-        bool force_emulated = false;
         /// Record the concrete value (and creation format) of every SSA id
         /// into TraceProgram::values, and every TpArray::raw() readout into
         /// TraceProgram::output_taps. Requires trace — the records are
@@ -214,11 +207,6 @@ public:
     }
     [[nodiscard]] bool shadow() const noexcept {
         return config_.binary64_shadow;
-    }
-
-    /// Backend override for this context's instructions (see Config).
-    [[nodiscard]] bool force_emulated() const noexcept {
-        return config_.force_emulated;
     }
 
     /// Hands the recorded trace out (and resets the context's trace state).

@@ -41,7 +41,7 @@ struct CastAwareOptions {
 /// variant of tuning::Request (tuning/service.hpp). Pairs the app name
 /// with the pass options; the service resolves the name to the app's
 /// long-lived engine at admission, so a cast-aware request shares the
-/// service caches exactly like TuningService::cast_aware always has.
+/// service caches with every other request for that app, both ways.
 struct CastAwareRequest {
     std::string app;           // apps::make_app name
     CastAwareOptions options{}; // options.search.threads is ignored (the
@@ -60,7 +60,8 @@ struct CastAwareResult {
     /// private engine that equals the engine's lifetime stats). On a
     /// shared long-lived engine it excludes everything that ran before
     /// the call; work OTHER threads push onto the same engine during the
-    /// call interleaves into it (the TuningService batch-stats caveat).
+    /// call interleaves into it. A TuningService ticket replaces it with
+    /// the request's exact EvalStatsScope delta.
     EvalStats eval_stats;
 };
 
@@ -71,13 +72,13 @@ struct CastAwareResult {
 
 /// Same two-phase search, submitting every trial and platform-cost probe
 /// through a caller-owned engine — e.g. a TuningService's long-lived
-/// per-app engine (TuningService::cast_aware), so cast-aware requests
-/// share the service caches: the base search hits configs earlier batches
-/// probed, and the refinement's quality checks hit the base search's
-/// trials. options.search.threads is ignored; the engine's pool (or its
-/// serial path) is used. By the engine's cache-coherent determinism
-/// contract the result is bit-identical to the private-engine overload
-/// for any cache state and thread count.
+/// per-app engine (a submitted CastAwareRequest), so cast-aware requests
+/// share the service caches: the base search hits configs earlier
+/// requests probed, and the refinement's quality checks hit the base
+/// search's trials. options.search.threads is ignored; the engine's pool
+/// (or its serial path) is used. By the engine's cache-coherent
+/// determinism contract the result is bit-identical to the private-engine
+/// overload for any cache state and thread count.
 [[nodiscard]] CastAwareResult cast_aware_search(EvalEngine& engine,
                                                 const CastAwareOptions& options);
 

@@ -159,7 +159,7 @@ public:
         /// Worker threads for fanned-out trials; <= 1 keeps the serial
         /// reference path (no pool is created). The engine's public
         /// methods are thread-safe regardless — external callers (e.g.
-        /// the TuningService's batch workers) may share a pool-less
+        /// the TuningService's scheduler workers) may share a pool-less
         /// engine.
         unsigned threads = 1;
         /// Trial memoization. Disabling re-runs every trial — results are

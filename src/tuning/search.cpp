@@ -17,6 +17,23 @@
 namespace tp::tuning {
 namespace {
 
+/// Rounds repair() may spend before it gives up on a binding. Each round
+/// widens until one failing input set passes, so where quality is
+/// monotone in precision n input sets settle within n + 1 rounds; the cap
+/// only ends a loop that non-monotone rounding keeps re-breaking. Not an
+/// option: fewer rounds would return results that miss their epsilon.
+constexpr int kMaxRefinementRounds = 64;
+
+/// Rejects an epsilon that is no requirement: NaN, infinite, zero or
+/// negative. `what` names the offending parameter in the message.
+void validate_epsilon(double epsilon, const char* what) {
+    if (!std::isfinite(epsilon) || !(epsilon > 0.0)) {
+        std::ostringstream msg;
+        msg << what << " must be finite and greater than 0, got " << epsilon;
+        throw std::invalid_argument(msg.str());
+    }
+}
+
 /// Outcome of one per-signal precision probe (a binary search run as a
 /// single pool task).
 struct ProbeResult {
@@ -102,13 +119,7 @@ private:
                 "SearchOptions::input_sets: at least one input set is "
                 "required");
         }
-        if (!std::isfinite(options_.epsilon) || !(options_.epsilon > 0.0)) {
-            std::ostringstream msg;
-            msg << "SearchOptions::epsilon must be finite and greater than 0, "
-                   "got "
-                << options_.epsilon;
-            throw std::invalid_argument(msg.str());
-        }
+        validate_epsilon(options_.epsilon, "SearchOptions::epsilon");
     }
 
     /// Folds the static analysis' sound lower bounds into the warm start
@@ -372,11 +383,11 @@ private:
         bits = joined;
     }
 
-    /// Widens `bits` until every input set passes, or the round budget is
-    /// spent. Each round evaluates all sets (concurrently when the engine
+    /// Widens `bits` until every input set passes, or kMaxRefinementRounds
+    /// are spent. Each round evaluates all sets (concurrently when the engine
     /// has a pool) and repairs the lowest-indexed failing one.
     void repair(std::vector<int>& bits, bool bound) {
-        for (int round = 0; round < options_.max_refinement_rounds; ++round) {
+        for (int round = 0; round < kMaxRefinementRounds; ++round) {
             const std::vector<char> passed = util::indexed_map(
                 engine_.pool(), options_.input_sets.size(),
                 [this, &bits, bound](std::size_t s) -> char {
@@ -482,6 +493,15 @@ std::vector<TuningResult> sweep_search(EvalEngine& engine,
                                        const SearchOptions& base,
                                        const std::vector<double>& epsilons,
                                        bool warm_start_chain) {
+    // The whole sweep is validated up front: a bad entry must not cost the
+    // searches before it.
+    if (epsilons.empty()) {
+        throw std::invalid_argument(
+            "sweep_search: at least one epsilon is required");
+    }
+    for (const double epsilon : epsilons) {
+        validate_epsilon(epsilon, "sweep_search epsilon");
+    }
     std::vector<TuningResult> results;
     results.reserve(epsilons.size());
     for (std::size_t e = 0; e < epsilons.size(); ++e) {

@@ -144,7 +144,6 @@ struct SearchOptions {
     double epsilon = 1e-1;                 // output-quality requirement
     TypeSystem type_system{TypeSystemKind::V2};
     std::vector<unsigned> input_sets{0, 1, 2};
-    int max_refinement_rounds = 64;
     int max_passes = 3; // greedy sweeps per input set
     /// Worker threads for trial evaluation. 1 runs the serial reference
     /// path; any value returns the same TuningResult (see the determinism
@@ -236,6 +235,8 @@ struct TuningResult {
 /// — the three-independent-searches reference. base.epsilon is ignored;
 /// results are in `epsilons` order, each a pure function of
 /// (app, base, epsilons, warm_start_chain) by the determinism contract.
+/// Throws std::invalid_argument before any golden or trial run when
+/// `epsilons` is empty or any entry is not finite and greater than 0.
 [[nodiscard]] std::vector<TuningResult> sweep_search(
     EvalEngine& engine, const SearchOptions& base,
     const std::vector<double>& epsilons, bool warm_start_chain = true);

@@ -128,10 +128,9 @@ const std::string& app_of(const Request::Work& work) {
                       work);
 }
 
-/// Per-search options with the request-level fields folded in.
-SearchOptions resolve(SearchOptions options, double epsilon,
+/// Per-search options with the request's input sets folded in.
+SearchOptions resolve(SearchOptions options,
                       const std::vector<unsigned>& input_sets) {
-    options.epsilon = epsilon;
     options.input_sets = input_sets;
     options.threads = 1; // unused: the service engines are pool-less
     return options;
@@ -152,21 +151,18 @@ RequestResult execute_work(EvalEngine& engine, const Request::Work& work) {
     return std::visit(
         Overloaded{
             [&engine](const TuningRequest& r) -> RequestResult {
-                return distributed_search(
-                    engine, resolve(r.options, r.epsilon, r.input_sets));
+                SearchOptions options = resolve(r.options, r.input_sets);
+                options.epsilon = r.epsilon;
+                return distributed_search(engine, options);
             },
             [&engine](const CastAwareRequest& r) -> RequestResult {
                 return cast_aware_search(engine, r.options);
             },
             [&engine](const SweepRequest& r) -> RequestResult {
-                // resolve()'s epsilon is overwritten per entry by
-                // sweep_search; it normalizes input_sets and threads.
-                return sweep_search(engine,
-                                    resolve(r.options, r.epsilons.empty()
-                                                           ? 1e-1
-                                                           : r.epsilons.front(),
-                                            r.input_sets),
-                                    r.epsilons, r.warm_start);
+                // sweep_search validates the epsilons and sets each
+                // search's own.
+                return sweep_search(engine, resolve(r.options, r.input_sets),
+                                    r.epsilons);
             },
         },
         work);
@@ -436,43 +432,6 @@ TicketHandle TuningService::submit(Request request) {
         tickets_.push_back(ticket);
     }
     return TicketHandle{std::move(ticket)};
-}
-
-TuningBatchResult TuningService::run(const std::vector<TuningRequest>& batch) {
-    // Validate every app up front, serially, in request order: creation
-    // is deterministic, and an unknown app rejects the batch before any
-    // request is admitted.
-    for (const TuningRequest& request : batch) (void)engine(request.app);
-
-    std::vector<TicketHandle> handles;
-    handles.reserve(batch.size());
-    for (const TuningRequest& request : batch) {
-        handles.push_back(submit(Request{.work = request}));
-    }
-
-    TuningBatchResult result;
-    result.results.reserve(batch.size());
-    // Every ticket is awaited even after a failure (the pre-async run()
-    // awaited all its futures the same way); the first error is rethrown
-    // once the whole batch is terminal.
-    std::exception_ptr first_error;
-    for (const TicketHandle& handle : handles) {
-        try {
-            result.results.push_back(handle.search_result());
-            result.stats += handle.stats();
-        } catch (...) {
-            if (first_error == nullptr) first_error = std::current_exception();
-        }
-    }
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-    return result;
-}
-
-CastAwareResult TuningService::cast_aware(std::string_view app_name,
-                                          const CastAwareOptions& options) {
-    const TicketHandle handle = submit(
-        Request{.work = CastAwareRequest{std::string(app_name), options}});
-    return handle.cast_aware_result();
 }
 
 std::size_t TuningService::engine_count() const {

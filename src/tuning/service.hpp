@@ -5,9 +5,8 @@
 // a time; the service scenario is sustained traffic: bursts of requests,
 // many for the same app at overlapping requirements, a few of them
 // interactive and latency-sensitive, most of them long epsilon sweeps.
-// The PR-3 surface was synchronous-batch-only — a caller with one small
-// request was blocked behind whole batches. The public API is now
-// asynchronous submission with admission control:
+// There is one way in, asynchronous submission with admission control; a
+// batch is a loop of submits followed by a wait on each handle:
 //
 //   * submit(Request) -> TicketHandle — a unified Request carries one of
 //     three work variants (plain search, cast-aware pass, epsilon sweep),
@@ -48,10 +47,7 @@
 //     the service's lifetime. Engines are pool-less: each request runs
 //     its trials inline on its scheduler worker, so cross-request
 //     parallelism replaces intra-search parallelism and nothing ever
-//     blocks on a queued task (no pool-in-pool deadlock);
-//   * run(batch) and cast_aware(app, options) survive as thin
-//     submit-all-then-wait wrappers with byte-identical results and
-//     exact aggregate stats — every pre-async caller keeps working.
+//     blocks on a queued task (no pool-in-pool deadlock).
 //
 // Determinism (scheduling-independent): a request's result depends only
 // on its own work payload — never on priority, deadline, admission
@@ -103,22 +99,20 @@ struct TuningRequest {
 
 /// An epsilon sweep: one search per requirement, in order, on the app's
 /// shared engine — the overlap between the sweep's own searches is served
-/// from cache. Resolves to one TuningResult per epsilon. With
-/// `warm_start` (the default) the searches are chained by sweep_search
-/// (tuning/search.hpp): each is seeded from the tightest completed
-/// epsilon's result, cutting the trials submitted while every result
-/// still meets its epsilon with per-signal precision at or below the
-/// independent search's; the results are bit-identical to a standalone
-/// sweep_search call — still a pure function of the request, independent
-/// of scheduling — but NOT to standalone per-epsilon TuningRequests.
-/// With `warm_start` false every search runs cold and each result IS
-/// bit-identical to a standalone TuningRequest at that epsilon.
+/// from cache. Resolves to one TuningResult per epsilon. The searches are
+/// chained by sweep_search (tuning/search.hpp): each is seeded from the
+/// tightest completed epsilon's result, cutting the trials submitted
+/// while every result still meets its epsilon with per-signal precision
+/// at or below the independent search's; the results are bit-identical
+/// to a standalone sweep_search call — still a pure function of the
+/// request, independent of scheduling — but NOT to standalone
+/// per-epsilon TuningRequests. An empty or malformed `epsilons` fails the
+/// ticket with std::invalid_argument before any search runs.
 struct SweepRequest {
     std::string app;
     std::vector<double> epsilons{1e-3, 1e-2, 1e-1};
     std::vector<unsigned> input_sets{0, 1, 2};
     SearchOptions options{};
-    bool warm_start = true;
 };
 
 /// Scheduling class of a request. Higher runs first; within a class,
@@ -286,20 +280,6 @@ private:
     std::shared_ptr<detail::ServiceTicket> ticket_;
 };
 
-/// A batch's outcome: per-request results in request order, plus the
-/// exact counter delta the batch produced (the sum of its requests'
-/// per-ticket deltas — concurrent foreign traffic on the same engines is
-/// NOT included).
-struct TuningBatchResult {
-    std::vector<TuningResult> results;
-    EvalStats stats;
-
-    /// Fraction of the batch's trials served from engine caches —
-    /// includes hits *across* requests, the quantity a batched service
-    /// exists to maximize.
-    [[nodiscard]] double hit_rate() const noexcept { return stats.hit_rate(); }
-};
-
 class TuningService {
 public:
     struct Options {
@@ -359,23 +339,6 @@ public:
     /// this service (a saturated scheduler would deadlock on the
     /// dependency).
     TicketHandle submit(Request request);
-
-    /// Synchronous wrapper: submits every request of `batch` at
-    /// Priority::kNormal and waits for all of them. Results in request
-    /// order; stats is the exact sum of the per-request deltas. Unknown
-    /// app names throw std::out_of_range before any request is admitted.
-    /// If a search fails, every request of the batch is still awaited
-    /// before the first error is rethrown. Safe to call from multiple
-    /// threads; concurrent submitters simply share the queue.
-    TuningBatchResult run(const std::vector<TuningRequest>& batch);
-
-    /// Synchronous wrapper: submits the cast-aware variant at
-    /// Priority::kNormal and waits. The pass runs on `app_name`'s
-    /// long-lived engine, so it shares the service caches with plain
-    /// requests, both ways. The returned eval_stats is the pass's own
-    /// counter delta (exact; see EvalStatsScope).
-    CastAwareResult cast_aware(std::string_view app_name,
-                               const CastAwareOptions& options);
 
     /// The long-lived engine serving `app_name`, created on first use
     /// (throws std::out_of_range for unknown names). Exposed for

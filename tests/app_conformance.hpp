@@ -468,7 +468,6 @@ TEST_P(AppConformanceTest, StaticAnalysisBoundsAreSound) {
         // distinct formats, so it aligns with the capture).
         app->prepare(set);
         sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                                  .force_emulated = true,
                                                   .record_values = true,
                                                   .binary64_shadow = false}};
         const apps::TypeConfig probe = analysis::staircase_config(S);

@@ -217,7 +217,6 @@ TEST(SignalFlow, AlignmentTransfersSignalsAndDetectsMismatch) {
     // structurally. The staircase config is the designated probe for this.
     app->prepare(0);
     sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                              .force_emulated = true,
                                               .record_values = true,
                                               .binary64_shadow = false}};
     (void)app->run(ctx, analysis::staircase_config(S));

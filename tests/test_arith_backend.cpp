@@ -185,11 +185,6 @@ TEST(BackendKnob, ScopeIsThreadLocalAndRestores) {
         EXPECT_EQ(other_thread_forced, env);
     }
     EXPECT_EQ(tp::arith::force_emulated(), env);
-
-    tp::arith::set_force_emulated(true);
-    EXPECT_TRUE(tp::arith::force_emulated());
-    tp::arith::set_force_emulated(false);
-    EXPECT_EQ(tp::arith::force_emulated(), env);
 }
 
 TEST(BackendKnob, ResolveHonorsOverride) {
@@ -495,10 +490,11 @@ TEST(BackendLayers, FlexFloatDynBitIdentical) {
     }
 }
 
+// The traced TpValue ops route through the same entry points, so the
+// thread-scoped knob pins them to the emulated backend too.
 TEST(BackendLayers, TpContextConfigKnobBitIdentical) {
-    const auto kernel = [](bool force) {
-        tp::sim::TpContext ctx{
-            tp::sim::TpContext::Config{.trace = true, .force_emulated = force}};
+    const auto kernel = [] {
+        tp::sim::TpContext ctx;
         std::vector<double> out;
         for (const FpFormat format : {kBinary64, kBinary32, kBinary16,
                                       kBinary16Alt}) {
@@ -519,8 +515,8 @@ TEST(BackendLayers, TpContextConfigKnobBitIdentical) {
         }
         return out;
     };
-    const std::vector<double> fast = kernel(false);
-    const std::vector<double> slow = kernel(true);
+    const std::vector<double> fast = with_backend(false, kernel);
+    const std::vector<double> slow = with_backend(true, kernel);
     ASSERT_EQ(fast.size(), slow.size());
     for (std::size_t i = 0; i < fast.size(); ++i) {
         EXPECT_EQ(bits_of(fast[i]), bits_of(slow[i])) << "element " << i;

@@ -282,12 +282,14 @@ TEST(KernelApp, UntracedForceEmulatedReachesPlainKernel) {
     // TP_FORCE_EMULATED (set by the sanitizer CI leg) forces it everywhere.
     const double ambient = tp::arith::force_emulated() ? 1.0 : 0.0;
 
-    TpContext forced{TpContext::Config{.trace = false, .force_emulated = true}};
-    EXPECT_EQ(app.run(forced, config), (std::vector<double>{1.0, 1.0}));
-    // The override is scoped to that run.
+    TpContext untraced{TpContext::Config{.trace = false}};
+    {
+        // The thread scope reaches the plain kernel App::run selects.
+        const tp::arith::ScopedForceEmulated scope;
+        EXPECT_EQ(app.run(untraced, config), (std::vector<double>{1.0, 1.0}));
+    }
     EXPECT_EQ(tp::arith::force_emulated() ? 1.0 : 0.0, ambient);
 
-    TpContext untraced{TpContext::Config{.trace = false}};
     EXPECT_EQ(app.run(untraced, config), (std::vector<double>{ambient, 1.0}));
 
     TpContext traced;

@@ -86,9 +86,9 @@ TuningResult direct(const TuningRequest& request) {
     return distributed_search(*app, options);
 }
 
-/// The chained-sweep reference a SweepRequest (warm_start on, the
-/// default) must reproduce bit-for-bit: a standalone sweep_search over
-/// the same epsilons on a private engine.
+/// The chained-sweep reference a SweepRequest must reproduce
+/// bit-for-bit: a standalone sweep_search over the same epsilons on a
+/// private engine.
 std::vector<TuningResult> direct_sweep(const std::string& app_name) {
     const auto app = tp::apps::make_app(app_name);
     SearchOptions base = fast_options();
@@ -373,7 +373,7 @@ TEST(PriorityScheduler, ExpiryPurgesWithoutAPopAndReleasesPayload) {
     EXPECT_TRUE(live_ran.load());
 }
 
-// --- Submission, variants, wrappers -----------------------------------------
+// --- Submission and variants ------------------------------------------------
 
 TEST(ServiceScheduler, SubmitMatchesDirectSearchAndReportsExactStats) {
     TuningService service;
@@ -407,21 +407,6 @@ TEST(ServiceScheduler, SweepVariantMatchesChainedSweepSearch) {
     EXPECT_EQ(service.engine_count(), 1u);
     EXPECT_GT(handle.stats().cache_hits, 0u);
     EXPECT_GT(handle.stats().trials_skipped_by_bounds, 0u);
-}
-
-TEST(ServiceScheduler, UnchainedSweepMatchesPerEpsilonDirectSearches) {
-    TuningService service;
-    Request request = sweep("dwt");
-    std::get<SweepRequest>(request.work).warm_start = false;
-    const TicketHandle handle = service.submit(std::move(request));
-    const std::vector<TuningResult>& results = handle.sweep_results();
-    ASSERT_EQ(results.size(), 3u);
-    const std::vector<double> epsilons{1e-3, 1e-2, 1e-1};
-    for (std::size_t i = 0; i < epsilons.size(); ++i) {
-        EXPECT_TRUE(results[i] == direct(plain("dwt", epsilons[i])))
-            << "epsilon " << epsilons[i];
-    }
-    EXPECT_EQ(handle.stats().trials_skipped_by_bounds, 0u);
 }
 
 // The warm-start axis of the determinism contract, exercised through the
@@ -475,33 +460,6 @@ TEST(ServiceScheduler, CastAwareVariantMatchesDirectPass) {
     EXPECT_EQ(handle.stats(), result.eval_stats);
     // Accessing the wrong variant is a loud error, not garbage.
     EXPECT_THROW((void)handle.search_result(), std::bad_variant_access);
-}
-
-TEST(ServiceScheduler, RunIsAThinWrapperOverSubmit) {
-    const std::vector<TuningRequest> batch{plain("pca", 1e-2),
-                                           plain("dwt", 1e-1),
-                                           plain("pca", 1e-2)};
-    TuningService wrapper_service{TuningService::Options{.threads = 2}};
-    const auto batch_result = wrapper_service.run(batch);
-
-    TuningService submit_service{TuningService::Options{.threads = 2}};
-    std::vector<TicketHandle> handles;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        // Mixed priorities: scheduling must not change any result.
-        handles.push_back(submit_service.submit(Request{
-            .work = batch[i],
-            .priority = i % 2 == 0 ? Priority::kSweep : Priority::kInteractive}));
-    }
-    EvalStats summed;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        EXPECT_TRUE(handles[i].search_result() == batch_result.results[i])
-            << "request " << i;
-        summed += handles[i].stats();
-    }
-    // The batch stats are exactly the sum of the per-ticket deltas, and
-    // both sides account for every engine bump.
-    EXPECT_EQ(summed, batch_result.stats);
-    EXPECT_EQ(summed, submit_service.stats());
 }
 
 TEST(ServiceScheduler, UnknownAppIsRejectedAtAdmission) {

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -253,35 +254,40 @@ TEST(Search, PrecisionConfigExport) {
     }
 }
 
-// The determinism contract of the parallel engine (search.hpp): threads=4
-// must return a TuningResult bit-identical to the serial reference path,
-// program_runs included.
+// The determinism contract of the parallel engine (search.hpp): pools of
+// 2, 4 and 8 threads must each return a TuningResult bit-identical to the
+// serial reference path, program_runs included.
 void expect_parallel_matches_serial(const std::string& app_name) {
     auto serial_app = tp::apps::make_app(app_name);
-    auto parallel_app = tp::apps::make_app(app_name);
     SearchOptions serial_options = fast_options(1e-2, tp::TypeSystemKind::V2);
     serial_options.threads = 1;
-    SearchOptions parallel_options = serial_options;
-    parallel_options.threads = 4;
-
     const auto serial = distributed_search(*serial_app, serial_options);
-    const auto parallel = distributed_search(*parallel_app, parallel_options);
 
-    EXPECT_EQ(serial.program_runs, parallel.program_runs) << app_name;
-    EXPECT_EQ(serial.epsilon, parallel.epsilon) << app_name;
-    EXPECT_EQ(serial.type_system, parallel.type_system) << app_name;
-    ASSERT_EQ(serial.signals.size(), parallel.signals.size()) << app_name;
-    for (std::size_t i = 0; i < serial.signals.size(); ++i) {
-        EXPECT_EQ(serial.signals[i].name, parallel.signals[i].name);
-        EXPECT_EQ(serial.signals[i].elements, parallel.signals[i].elements);
-        EXPECT_EQ(serial.signals[i].precision_bits,
-                  parallel.signals[i].precision_bits)
-            << app_name << " signal " << serial.signals[i].name;
-        EXPECT_EQ(serial.signals[i].bound, parallel.signals[i].bound)
-            << app_name << " signal " << serial.signals[i].name;
+    for (const unsigned threads : {2u, 4u, 8u}) {
+        auto parallel_app = tp::apps::make_app(app_name);
+        SearchOptions parallel_options = serial_options;
+        parallel_options.threads = threads;
+        const auto parallel =
+            distributed_search(*parallel_app, parallel_options);
+        const std::string label =
+            app_name + " threads=" + std::to_string(threads);
+
+        EXPECT_EQ(serial.program_runs, parallel.program_runs) << label;
+        EXPECT_EQ(serial.epsilon, parallel.epsilon) << label;
+        EXPECT_EQ(serial.type_system, parallel.type_system) << label;
+        ASSERT_EQ(serial.signals.size(), parallel.signals.size()) << label;
+        for (std::size_t i = 0; i < serial.signals.size(); ++i) {
+            EXPECT_EQ(serial.signals[i].name, parallel.signals[i].name);
+            EXPECT_EQ(serial.signals[i].elements, parallel.signals[i].elements);
+            EXPECT_EQ(serial.signals[i].precision_bits,
+                      parallel.signals[i].precision_bits)
+                << label << " signal " << serial.signals[i].name;
+            EXPECT_EQ(serial.signals[i].bound, parallel.signals[i].bound)
+                << label << " signal " << serial.signals[i].name;
+        }
+        // The memberwise predicate covers any future TuningResult field.
+        EXPECT_TRUE(serial == parallel) << label;
     }
-    // The memberwise predicate covers any future TuningResult field.
-    EXPECT_TRUE(serial == parallel) << app_name;
 }
 
 TEST(Search, ParallelMatchesSerialPca) { expect_parallel_matches_serial("pca"); }
@@ -343,6 +349,8 @@ TEST(Search, WarmStartIsValidatedAgainstTheSignalTable) {
 // A request no search can answer — no input sets, or an epsilon that is
 // NaN, infinite, zero or negative — throws std::invalid_argument before
 // the engine runs anything, static bounds or not: no golden run, no trial.
+// A sweep is checked whole before its first search: neither an empty one
+// nor one whose bad entry comes after a good one runs anything.
 TEST(Search, MalformedRequestIsRejectedBeforeAnyRun) {
     auto app = tp::apps::make_app("dwt");
     tp::tuning::EvalEngine engine{
@@ -365,6 +373,14 @@ TEST(Search, MalformedRequestIsRejectedBeforeAnyRun) {
                 << "epsilon " << epsilon;
         }
     }
+
+    const auto base = fast_options(1e-2, tp::TypeSystemKind::V2);
+    EXPECT_THROW((void)tp::tuning::sweep_search(engine, base, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)tp::tuning::sweep_search(
+            engine, base, {1e-3, std::numeric_limits<double>::quiet_NaN()}),
+        std::invalid_argument);
     EXPECT_EQ(engine.stats(), tp::tuning::EvalStats{});
 }
 

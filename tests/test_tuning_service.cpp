@@ -1,18 +1,16 @@
-// TuningService (tuning/service.hpp): the synchronous batch surface,
-// which since the async redesign is a thin submit-all-then-wait wrapper
-// over submit(). The contract under test: results are bit-identical for
-// any service thread count and any cache/eviction state, EvalStats
+// TuningService (tuning/service.hpp) under batches of overlapping
+// requests, each batch submitted request by request and then awaited.
+// The contract under test: results are bit-identical for any service
+// thread count, priority mix and cache/eviction state, EvalStats
 // counters are exact at any thread count (single-flight + per-ticket
-// scopes), the LRU budget is respected, and goldens survive eviction —
-// i.e. the pre-async behavior, byte for byte, through the wrapper. The
-// async-only surface (priorities, deadlines, cancellation, the scheduler)
-// is covered by test_service_scheduler.cpp; both files carry the ctest
-// label `service`.
+// scopes), the LRU budget is respected, and goldens survive eviction.
+// The scheduling surface (priorities, deadlines, cancellation, the
+// scheduler) is covered by test_service_scheduler.cpp; both files carry
+// the ctest label `service`.
 #include "tuning/service.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -24,11 +22,15 @@
 
 namespace {
 
+using tp::tuning::CastAwareRequest;
 using tp::tuning::distributed_search;
 using tp::tuning::EvalEngine;
 using tp::tuning::EvalStats;
+using tp::tuning::Priority;
+using tp::tuning::Request;
 using tp::tuning::SearchOptions;
-using tp::tuning::TuningBatchResult;
+using tp::tuning::SweepRequest;
+using tp::tuning::TicketHandle;
 using tp::tuning::TuningRequest;
 using tp::tuning::TuningResult;
 using tp::tuning::TuningService;
@@ -62,8 +64,38 @@ std::vector<TuningRequest> overlapping_batch() {
     return batch;
 }
 
-void expect_identical_batches(const TuningBatchResult& a,
-                              const TuningBatchResult& b,
+/// A batch's outcome: results in request order, and the exact sum of the
+/// per-ticket counter deltas (foreign traffic on the engines excluded).
+struct BatchOutcome {
+    std::vector<TuningResult> results;
+    EvalStats stats;
+};
+
+/// Submits every request of `batch`, then waits for each. With
+/// `mixed_priorities` the requests alternate kSweep and kInteractive, so
+/// the scheduler reorders them; otherwise all run at kNormal.
+BatchOutcome submit_batch(TuningService& service,
+                          const std::vector<TuningRequest>& batch,
+                          bool mixed_priorities = false) {
+    std::vector<TicketHandle> handles;
+    handles.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        Priority priority = Priority::kNormal;
+        if (mixed_priorities) {
+            priority = i % 2 == 0 ? Priority::kSweep : Priority::kInteractive;
+        }
+        handles.push_back(
+            service.submit(Request{.work = batch[i], .priority = priority}));
+    }
+    BatchOutcome outcome;
+    for (const TicketHandle& handle : handles) {
+        outcome.results.push_back(handle.search_result());
+        outcome.stats += handle.stats();
+    }
+    return outcome;
+}
+
+void expect_identical_batches(const BatchOutcome& a, const BatchOutcome& b,
                               const std::string& label) {
     ASSERT_EQ(a.results.size(), b.results.size()) << label;
     for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -74,15 +106,15 @@ void expect_identical_batches(const TuningBatchResult& a,
 
 TEST(TuningService, MatchesDirectSearch) {
     TuningService service;
-    const auto batch_result = service.run({request_for("pca", 1e-2)});
-    ASSERT_EQ(batch_result.results.size(), 1u);
+    const TicketHandle handle =
+        service.submit(Request{.work = request_for("pca", 1e-2)});
 
     const auto app = tp::apps::make_app("pca");
     SearchOptions options = fast_options();
     options.epsilon = 1e-2;
     options.input_sets = {0, 1};
     const TuningResult direct = distributed_search(*app, options);
-    EXPECT_TRUE(batch_result.results[0] == direct);
+    EXPECT_TRUE(handle.search_result() == direct);
 }
 
 TEST(TuningService, ResultsInRequestOrderOneEnginePerApp) {
@@ -90,7 +122,7 @@ TEST(TuningService, ResultsInRequestOrderOneEnginePerApp) {
     const auto batch = std::vector<TuningRequest>{request_for("dwt", 1e-1),
                                                   request_for("pca", 1e-2),
                                                   request_for("dwt", 1e-1)};
-    const auto result = service.run(batch);
+    const auto result = submit_batch(service, batch);
     ASSERT_EQ(result.results.size(), 3u);
     // Identical requests produce identical results; distinct apps don't.
     EXPECT_TRUE(result.results[0] == result.results[2]);
@@ -101,32 +133,27 @@ TEST(TuningService, ResultsInRequestOrderOneEnginePerApp) {
     EXPECT_EQ(&service.engine("dwt"), &service.engine("dwt"));
 }
 
-TEST(TuningService, UnknownAppRejectsBatchBeforeScheduling) {
-    TuningService service;
-    EXPECT_THROW((void)service.run({request_for("pca", 1e-2),
-                                    request_for("nonesuch", 1e-2)}),
-                 std::out_of_range);
-    // The pca engine may exist (requests resolve in order), but no search
-    // ran: the failing batch submitted no trials.
-    EXPECT_EQ(service.stats().trials, 0u);
-}
-
 // A malformed request fails its own ticket with the search's typed error
 // and nothing else: a valid request submitted beside it completes with
-// the bits of a direct search.
+// the bits of a direct search. A sweep with no epsilons is malformed too.
 TEST(TuningService, MalformedRequestFailsOnlyItsOwnTicket) {
     TuningService service{TuningService::Options{.threads = 2}};
     const TuningRequest valid = request_for("dwt", 1e-2);
     TuningRequest malformed = valid;
     malformed.epsilon = std::numeric_limits<double>::quiet_NaN();
+    SweepRequest empty_sweep;
+    empty_sweep.app = "dwt";
+    empty_sweep.epsilons = {};
 
-    const tp::tuning::TicketHandle bad =
-        service.submit(tp::tuning::Request{.work = malformed});
-    const tp::tuning::TicketHandle good =
-        service.submit(tp::tuning::Request{.work = valid});
+    const TicketHandle bad = service.submit(Request{.work = malformed});
+    const TicketHandle bad_sweep = service.submit(Request{.work = empty_sweep});
+    const TicketHandle good = service.submit(Request{.work = valid});
 
     EXPECT_THROW((void)bad.get(), std::invalid_argument);
     EXPECT_EQ(bad.status(), tp::tuning::RequestStatus::kFailed);
+    EXPECT_THROW((void)bad_sweep.get(), std::invalid_argument);
+    EXPECT_EQ(bad_sweep.status(), tp::tuning::RequestStatus::kFailed);
+    EXPECT_EQ(bad_sweep.stats(), EvalStats{});
 
     const auto app = tp::apps::make_app("dwt");
     SearchOptions options = fast_options();
@@ -145,8 +172,8 @@ TEST(TuningService, ThreadCountInvariantResultsAndExactCounters) {
     TuningService threaded{TuningService::Options{.threads = 4}};
     const auto batch = overlapping_batch();
 
-    const auto serial_result = serial.run(batch);
-    const auto threaded_result = threaded.run(batch);
+    const auto serial_result = submit_batch(serial, batch);
+    const auto threaded_result = submit_batch(threaded, batch);
     expect_identical_batches(serial_result, threaded_result,
                              "threads=4 vs serial");
 
@@ -164,19 +191,23 @@ TEST(TuningService, ThreadCountInvariantResultsAndExactCounters) {
     EXPECT_GT(t.hit_rate(), 0.0);
 }
 
+// The repeat batch runs at alternating kSweep / kInteractive priorities,
+// so the scheduler reorders it: the results must still be the cold
+// batch's bits, all of it served from the cache the cold batch left.
 TEST(TuningService, WarmServiceServesRepeatBatchFromCache) {
     TuningService service{TuningService::Options{.threads = 4}};
     const auto batch = overlapping_batch();
-    const auto cold = service.run(batch);
-    const auto warm = service.run(batch);
-    expect_identical_batches(cold, warm, "warm vs cold batch");
+    const auto cold = submit_batch(service, batch);
+    const auto warm = submit_batch(service, batch, /*mixed_priorities=*/true);
+    expect_identical_batches(cold, warm, "warm mixed-priority vs cold batch");
     // Every trial of the repeat batch was a hit: no kernel ran.
+    EXPECT_GT(warm.stats.trials, 0u);
     EXPECT_EQ(warm.stats.kernel_runs, 0u);
     EXPECT_EQ(warm.stats.golden_runs, 0u);
     EXPECT_EQ(warm.stats.cache_hits, warm.stats.trials);
-    EXPECT_EQ(warm.hit_rate(), 1.0);
-    // Lifetime aggregate covers both batches.
-    EXPECT_EQ(service.stats().trials, cold.stats.trials + warm.stats.trials);
+    EXPECT_EQ(warm.stats.hit_rate(), 1.0);
+    // The per-ticket deltas of both batches account for every engine bump.
+    EXPECT_EQ(service.stats(), cold.stats + warm.stats);
 }
 
 // The eviction half of the determinism contract: cold, warm, and
@@ -186,14 +217,14 @@ TEST(TuningService, EvictingCacheReturnsIdenticalResults) {
     const auto batch = overlapping_batch();
 
     TuningService unbounded{TuningService::Options{.threads = 4}};
-    const auto cold = unbounded.run(batch);
-    const auto warm = unbounded.run(batch);
+    const auto cold = submit_batch(unbounded, batch);
+    const auto warm = submit_batch(unbounded, batch);
 
     // A budget far too small for these workloads: entries churn the whole
     // time.
     TuningService evicting{TuningService::Options{
         .threads = 4, .cache_budget_bytes = 16 * 1024}};
-    const auto evicted = evicting.run(batch);
+    const auto evicted = submit_batch(evicting, batch);
 
     expect_identical_batches(cold, evicted, "evicting vs cold");
     expect_identical_batches(warm, evicted, "evicting vs warm");
@@ -211,7 +242,7 @@ TEST(TuningService, MemoryBudgetIsRespected) {
     constexpr std::size_t kBudget = 16 * 1024;
     TuningService service{
         TuningService::Options{.threads = 2, .cache_budget_bytes = kBudget}};
-    (void)service.run(overlapping_batch());
+    (void)submit_batch(service, overlapping_batch());
     for (const char* app : {"pca", "dwt"}) {
         EXPECT_LE(service.engine(app).cache_bytes(), kBudget) << app;
     }
@@ -222,7 +253,7 @@ TEST(TuningService, GoldensSurviveEviction) {
         TuningService::Options{.threads = 2, .cache_budget_bytes = 16 * 1024}};
     EvalEngine& engine = service.engine("pca");
     const std::vector<double>& before = engine.golden(0);
-    (void)service.run(overlapping_batch());
+    (void)submit_batch(service, overlapping_batch());
     EXPECT_GT(engine.stats().evictions, 0u);
     // Same pinned storage, no recomputation: the reference the service
     // handed out before the churn is still the live golden.
@@ -249,8 +280,8 @@ TEST(TuningService, HeterogeneousBatchAcrossAllNineApps) {
 
     TuningService serial{TuningService::Options{.threads = 1}};
     TuningService threaded{TuningService::Options{.threads = 4}};
-    const auto serial_result = serial.run(batch);
-    const auto threaded_result = threaded.run(batch);
+    const auto serial_result = submit_batch(serial, batch);
+    const auto threaded_result = submit_batch(threaded, batch);
 
     ASSERT_EQ(serial_result.results.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -283,7 +314,7 @@ TEST(TuningService, HeterogeneousBatchAcrossAllNineApps) {
 }
 
 // Cast-aware requests routed through the service share the per-app engine
-// caches with batched plain searches (the ROADMAP engine-sharing item).
+// caches with plain searches, both ways.
 TEST(TuningService, CastAwareSharesTheServiceEngineCaches) {
     tp::tuning::CastAwareOptions options;
     options.search = fast_options();
@@ -296,11 +327,13 @@ TEST(TuningService, CastAwareSharesTheServiceEngineCaches) {
     const auto reference = tp::tuning::cast_aware_search(*app, options);
 
     TuningService service;
-    // A plain batched search first, at the same requirement, warms the
-    // app's engine...
-    (void)service.run({request_for("knn", 1e-2)});
+    // A plain search first, at the same requirement, warms the app's
+    // engine...
+    service.submit(Request{.work = request_for("knn", 1e-2)}).wait();
     const auto warm_stats = service.stats();
-    const auto shared = service.cast_aware("knn", options);
+    const auto shared =
+        service.submit(Request{.work = CastAwareRequest{"knn", options}})
+            .cast_aware_result();
 
     // ...and the cast-aware pass reuses it: same result bit-for-bit, with
     // the base search served from cache (fewer kernel runs than cold).
@@ -317,28 +350,10 @@ TEST(TuningService, CastAwareSharesTheServiceEngineCaches) {
 
     // The sharing works both ways: a repeat of the plain request after the
     // cast-aware pass is still fully cached.
-    const auto repeat = service.run({request_for("knn", 1e-2)});
-    EXPECT_EQ(repeat.stats.kernel_runs, 0u);
-}
-
-// The wrapper and the async path are one cache: a batch warmed through
-// run() serves an interactive submit() of the same request entirely from
-// memory, and the results agree bit-for-bit.
-TEST(TuningService, RunAndSubmitShareTheSameEngineCaches) {
-    TuningService service;
-    const TuningRequest request = request_for("pca", 1e-2);
-    const auto batch_result = service.run({request});
-
-    const tp::tuning::TicketHandle handle = service.submit(tp::tuning::Request{
-        .work = request,
-        .priority = tp::tuning::Priority::kInteractive,
-        .deadline =
-            std::chrono::steady_clock::now() + std::chrono::minutes(5)});
-    EXPECT_TRUE(handle.search_result() == batch_result.results[0]);
-    const EvalStats repeat = handle.stats();
-    EXPECT_EQ(repeat.kernel_runs, 0u);
-    EXPECT_EQ(repeat.golden_runs, 0u);
-    EXPECT_EQ(repeat.cache_hits, repeat.trials);
+    const TicketHandle repeat =
+        service.submit(Request{.work = request_for("knn", 1e-2)});
+    repeat.wait();
+    EXPECT_EQ(repeat.stats().kernel_runs, 0u);
 }
 
 TEST(TuningService, PerRequestOptionsAreHonored) {
@@ -346,7 +361,7 @@ TEST(TuningService, PerRequestOptionsAreHonored) {
     TuningRequest v1 = request_for("jacobi", 1e-2);
     v1.options.type_system = tp::TypeSystem{tp::TypeSystemKind::V1};
     const TuningRequest v2 = request_for("jacobi", 1e-2);
-    const auto result = service.run({v1, v2});
+    const auto result = submit_batch(service, {v1, v2});
     EXPECT_EQ(result.results[0].type_system, tp::TypeSystemKind::V1);
     EXPECT_EQ(result.results[1].type_system, tp::TypeSystemKind::V2);
     // One app, one engine, even across type systems.
