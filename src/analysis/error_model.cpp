@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "types/encoding.hpp"
 
@@ -109,7 +109,7 @@ ErrorModel build_error_model(const sim::TraceProgram& program,
         add_rounding(static_cast<std::int32_t>(id), sig, v);
     }
 
-    std::unordered_map<std::uint32_t, StreamState> streams;
+    std::vector<StreamState> streams; // by stream id, grown on first store
 
     for (const sim::Instr& instr : program.instrs) {
         const std::int32_t dst = instr.dst;
@@ -166,9 +166,9 @@ ErrorModel build_error_model(const sim::TraceProgram& program,
         case sim::InstrKind::Load: {
             if (dst < 0) break;
             const std::int32_t sig = flow.value_signal[static_cast<std::size_t>(dst)];
-            const auto it = streams.find(instr.stream);
-            if (it != streams.end() && it->second.stores > 0) {
-                const StreamState& st = it->second;
+            if (instr.stream < streams.size() &&
+                streams[instr.stream].stores > 0) {
+                const StreamState& st = streams[instr.stream];
                 double* da = abs_row(dst);
                 double* dv = var_row(dst);
                 const double inv = 1.0 / static_cast<double>(st.stores);
@@ -186,6 +186,9 @@ ErrorModel build_error_model(const sim::TraceProgram& program,
         }
         case sim::InstrKind::Store: {
             if (instr.src1 < 0) break;
+            if (instr.stream >= streams.size()) {
+                streams.resize(instr.stream + std::size_t{1});
+            }
             StreamState& st = streams[instr.stream];
             if (st.abs_max.empty()) {
                 st.abs_max.assign(S, 0.0);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "flexfloat/arith_backend.hpp"
 
 namespace tp::analysis {
 
@@ -44,12 +45,14 @@ apps::TypeConfig staircase_config(std::size_t signal_count) {
 CapturedTrace capture_trace(apps::App& app, unsigned input_set) {
     app.prepare(input_set);
     sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                              .record_values = true,
-                                              .binary64_shadow = true}};
+                                              .record_values = true}};
     CapturedTrace capture;
     capture.input_set = input_set;
     capture.signal_count = app.signal_table().size();
-    capture.output = app.run(ctx, tagging_config(capture.signal_count));
+    {
+        const arith::ScopedBinary64 shadow;
+        capture.output = app.run(ctx, tagging_config(capture.signal_count));
+    }
     capture.program = ctx.take_program(false);
     return capture;
 }
@@ -71,7 +74,7 @@ SignalFlowGraph build_signal_flow(const sim::TraceProgram& program,
     // longest chain ever stored into their stream (a memory round-trip does
     // not reset error growth).
     std::vector<int> chain(program.value_count, 0);
-    std::unordered_map<std::uint32_t, int> stream_chain;
+    std::vector<int> stream_chain; // by stream id, grown on first store
 
     const auto signal_of = [&](std::int32_t id) -> std::int32_t {
         return id >= 0 && static_cast<std::size_t>(id) < flow.value_signal.size()
@@ -123,9 +126,10 @@ SignalFlowGraph build_signal_flow(const sim::TraceProgram& program,
             break;
         case sim::InstrKind::Load:
             if (instr.dst >= 0) {
-                const auto it = stream_chain.find(instr.stream);
                 chain[static_cast<std::size_t>(instr.dst)] =
-                    it != stream_chain.end() ? it->second : 0;
+                    instr.stream < stream_chain.size()
+                        ? stream_chain[instr.stream]
+                        : 0;
             }
             break;
         case sim::InstrKind::Store: {
@@ -138,7 +142,10 @@ SignalFlowGraph build_signal_flow(const sim::TraceProgram& program,
                 flow.depends_on[static_cast<std::size_t>(stream_signal)]
                                [static_cast<std::size_t>(src_signal)] = 1;
             }
-            auto& best = stream_chain[instr.stream];
+            if (instr.stream >= stream_chain.size()) {
+                stream_chain.resize(instr.stream + std::size_t{1}, 0);
+            }
+            int& best = stream_chain[instr.stream];
             best = std::max(best, chain_of(instr.src1));
             break;
         }

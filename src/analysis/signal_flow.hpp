@@ -4,14 +4,15 @@
 // The tuner controls formats per SIGNAL (a program variable group,
 // apps/signal_table.hpp), but the trace layer records dataflow per VALUE.
 // This pass closes the gap without touching any kernel: the app is run
-// once per input set in the tracing context's binary64 shadow mode
-// (sim/context.hpp) under a TAGGING config that assigns every signal a
-// unique format. Values are computed in plain binary64 — so control flow
-// follows the golden reference execution exactly — while the recorded
-// formats become pure dataflow tags: the format of a value identifies the
-// signal whose binding produced it. Folding the tagged SSA trace over its
-// ids yields the signal-level dependency DAG the later passes (range /
-// error propagation, lint) operate on.
+// once per input set, traced with record_values, under a TAGGING config
+// that assigns every signal a unique format and inside an
+// arith::ScopedBinary64 (flexfloat/arith_backend.hpp) — the shadow run.
+// Values are computed in plain binary64 — so control flow follows the
+// golden reference execution exactly — while the recorded formats become
+// pure dataflow tags: the format of a value identifies the signal whose
+// binding produced it. Folding the tagged SSA trace over its ids yields
+// the signal-level dependency DAG the later passes (range / error
+// propagation, lint) operate on.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,11 @@ inline constexpr std::int32_t kUnknownSignal = -1;
 /// The tagging config of a shadow capture: signal `s` is bound to the
 /// near-binary64 format {11, 52 - s}. Unique per signal (the inverse is
 /// signal_of_tag), and wide enough that app-level input staging —
-/// kernels may quantize() inputs to a config format before set_raw —
-/// perturbs the shadow values only at the ~2^-45 level. Throws
+/// kernels may quantize() inputs to a config format before set_raw, and
+/// quantize(), the bit-level reference, rounds even under
+/// arith::ScopedBinary64 — perturbs the shadow values only at the ~2^-45
+/// level. Every other rounding (set_raw, constants, ops, casts) goes
+/// through tp::arith and is the identity in the shadow run. Throws
 /// std::invalid_argument beyond 51 signals (the mantissa field bottoms
 /// out).
 [[nodiscard]] apps::TypeConfig tagging_config(std::size_t signal_count);
@@ -60,7 +64,8 @@ struct CapturedTrace {
     std::size_t signal_count = 0;
 };
 
-/// prepare(input_set) + one shadow run under the tagging config.
+/// prepare(input_set) + one traced record_values run under the tagging
+/// config inside an arith::ScopedBinary64.
 [[nodiscard]] CapturedTrace capture_trace(apps::App& app, unsigned input_set);
 
 /// The signal-level dependency DAG folded out of a tagged capture.

@@ -18,11 +18,13 @@
 //     sections.
 //
 // KernelApp<Derived> instantiates that kernel twice and App::run picks one
-// per call: on sim::TpContext for the traced run the virtual platform
-// measures, and on sim::PlainContext — inline values, nothing recorded —
-// for the binary64 golden reference, every precision-tuning trial and the
-// final mixed-format build. Both instantiations compute bit-identical
-// outputs and FlexFloat statistics.
+// per call: on sim::TpContext for the traced runs — the one the virtual
+// platform measures, and the static analysis' shadow capture — and on
+// sim::PlainContext, nothing recorded, for the binary64 golden reference,
+// every precision-tuning trial and the final mixed-format build. Both
+// compute on FlexFloatDyn values rounded by tp::arith alone, so they give
+// bit-identical outputs and FlexFloat statistics under every backend
+// override, arith::ScopedBinary64 included.
 #pragma once
 
 #include <cstdint>

@@ -111,7 +111,7 @@ public:
                 ctx.int_ops(1); // index bookkeeping for the running minimum
             }
             taken[best] = true;
-            nearest.push_back(best_v.to_double());
+            nearest.push_back(best_v.value());
         }
 
         // Program output: the full distance vector, then the k minima.

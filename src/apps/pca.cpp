@@ -157,7 +157,7 @@ public:
         std::vector<double> output;
         output.reserve(kFeatures + 1 + kSamples);
         for (std::size_t f = 0; f < kFeatures; ++f) output.push_back(vec.raw(f));
-        output.push_back(eigenvalue.to_double());
+        output.push_back(eigenvalue.value());
         for (std::size_t s = 0; s < kSamples; ++s) output.push_back(proj.raw(s));
         return output;
     }

@@ -1,8 +1,8 @@
 // tp::arith — the unified arithmetic-backend seam of the FlexFloat layer.
 //
 // Every rounded FP operation in this repository (the flexfloat<E, M>
-// template operators, FlexFloatDyn's runtime-format ops, and the kernels'
-// sim::TpValue and sim::PlainValue ops) funnels through the entry points
+// template operators and FlexFloatDyn's runtime-format ops, which both
+// kernel instantiations compute on) funnels through the entry points
 // below, so the rounding semantics of the emulation live in exactly one
 // place:
 //
@@ -36,15 +36,22 @@
 // oracle. Backend choice is therefore purely a speed lever, and stats /
 // trace recording (which lives in the callers) fires identically on both.
 //
-// Override knob, for differential testing: the emulated path stays
-// selectable everywhere via
+// Override knob, two modes. The emulated path stays selectable everywhere,
+// for differential testing, via
 //   * env TP_FORCE_EMULATED=1  — whole process (read once at startup);
 //   * ScopedForceEmulated — current thread, until the scope ends (traced
 //     and plain kernel instantiations alike);
 //   * tuning EvalEngine Options::force_emulated — every kernel the engine
 //     runs (applied as a thread scope around trial + golden execution).
+// ScopedBinary64 — current thread, until the scope ends — resolves EVERY
+// format to the binary64 native backend, so arith, fma and cast return the
+// plain binary64 result without re-rounding it to the operand format. It is
+// the static analysis' shadow run (analysis::capture_trace): formats stay
+// attached to values as pure dataflow tags while control flow follows the
+// binary64 reference. It wins over both emulation overrides.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 
 #include "flexfloat/fma_exact.hpp"
@@ -60,11 +67,36 @@ namespace detail {
 /// are false, anything else true). Read once, in arith_backend.cpp.
 [[nodiscard]] bool read_env_force_emulated() noexcept;
 
+// The per-thread override is one byte of mode bits. kForceEmulated is 1,
+// the value the process-wide env flag promotes to, so resolve() ORs the two
+// and tests once.
+inline constexpr std::uint8_t kForceEmulated = 1;
+inline constexpr std::uint8_t kBinary64 = 2;
+
 // Process-wide env override (immutable after static init) and the
-// per-thread programmatic override. The thread_local is constant-initialized
+// per-thread scopes' mode bits. The thread_local is constant-initialized
 // so the hot path pays a plain TLS load, no init guard.
 inline const bool g_env_force_emulated = read_env_force_emulated();
-inline thread_local bool t_force_emulated = false;
+inline thread_local std::uint8_t t_override = 0;
+
+/// Sets `Bit` in the thread's override for the scope's lifetime (when
+/// `on`), then restores that bit to what it was.
+template <std::uint8_t Bit>
+class ScopedOverride {
+public:
+    explicit ScopedOverride(bool on = true) noexcept
+        : previous_(t_override & Bit) {
+        if (on) t_override |= Bit;
+    }
+    ~ScopedOverride() {
+        t_override = static_cast<std::uint8_t>((t_override & ~Bit) | previous_);
+    }
+    ScopedOverride(const ScopedOverride&) = delete;
+    ScopedOverride& operator=(const ScopedOverride&) = delete;
+
+private:
+    std::uint8_t previous_;
+};
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -207,33 +239,37 @@ template <typename T>
 
 } // namespace detail
 
-/// True when every entry point must take the emulated path on this thread
-/// (env TP_FORCE_EMULATED, or a programmatic thread override).
+/// True when the emulated path is forced on this thread (env
+/// TP_FORCE_EMULATED, or a ScopedForceEmulated). An open ScopedBinary64
+/// still wins in resolve().
 [[nodiscard]] inline bool force_emulated() noexcept {
-    return detail::g_env_force_emulated | detail::t_force_emulated;
+    return ((detail::g_env_force_emulated | detail::t_override) &
+            detail::kForceEmulated) != 0;
 }
 
-/// RAII thread-scope for the override — the differential-testing primitive:
-///     tp::arith::ScopedForceEmulated scope;   // emulated until scope ends
-class ScopedForceEmulated {
-public:
-    explicit ScopedForceEmulated(bool on = true) noexcept
-        : previous_(detail::t_force_emulated) {
-        detail::t_force_emulated = previous_ || on;
-    }
-    ~ScopedForceEmulated() { detail::t_force_emulated = previous_; }
-    ScopedForceEmulated(const ScopedForceEmulated&) = delete;
-    ScopedForceEmulated& operator=(const ScopedForceEmulated&) = delete;
+/// True while a ScopedBinary64 is open on this thread.
+[[nodiscard]] inline bool binary64() noexcept {
+    return (detail::t_override & detail::kBinary64) != 0;
+}
 
-private:
-    bool previous_;
-};
+/// RAII thread-scope forcing the emulated path — the differential-testing
+/// primitive:
+///     tp::arith::ScopedForceEmulated scope;   // emulated until scope ends
+/// A nested scope asking for "off" cannot undo an enclosing "on".
+using ScopedForceEmulated = detail::ScopedOverride<detail::kForceEmulated>;
+
+/// RAII thread-scope computing every format in plain binary64, unrounded:
+///     tp::arith::ScopedBinary64 shadow;   // binary64 until scope ends
+using ScopedBinary64 = detail::ScopedOverride<detail::kBinary64>;
 
 /// The backend an operation in `format` executes on right now: the format's
-/// static classification (FpFormat::backend()) unless the override knob
-/// forces the emulated path.
+/// static classification (FpFormat::backend()) unless an override is set —
+/// binary64 for every format under ScopedBinary64, else the emulated path.
 [[nodiscard]] inline BackendKind resolve(FpFormat format) noexcept {
-    return force_emulated() ? BackendKind::kEmulated : format.backend();
+    const int mode = detail::g_env_force_emulated | detail::t_override;
+    if (mode == 0) [[likely]] return format.backend();
+    return (mode & detail::kBinary64) != 0 ? BackendKind::kNativeF64
+                                           : BackendKind::kEmulated;
 }
 
 /// Reference implementation: binary64 arithmetic + sanitize re-rounding.

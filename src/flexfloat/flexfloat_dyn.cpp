@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "flexfloat/arith_backend.hpp"
 #include "types/encoding.hpp"
 
 namespace tp {
@@ -14,32 +13,6 @@ FlexFloatDyn FlexFloatDyn::from_bits(std::uint64_t bits, FpFormat format) noexce
     result.value_ = decode(bits & bit_mask(format), format);
     result.format_ = format;
     return result;
-}
-
-FlexFloatDyn FlexFloatDyn::cast_to(FpFormat target) const noexcept {
-    if (stats_enabled()) thread_stats().record_cast(format_, target);
-    return from_rounded(arith::cast(value_, target), target);
-}
-
-FlexFloatDyn sqrt(const FlexFloatDyn& a) noexcept {
-    FlexFloatDyn::record(a.format_, FpOp::Sqrt);
-    return FlexFloatDyn::from_rounded(
-        arith::arith(FpOp::Sqrt, a.value_, a.value_, a.format_), a.format_);
-}
-
-FlexFloatDyn abs(const FlexFloatDyn& a) noexcept {
-    FlexFloatDyn::record(a.format_, FpOp::Abs);
-    return FlexFloatDyn::from_rounded(
-        arith::arith(FpOp::Abs, a.value_, a.value_, a.format_), a.format_);
-}
-
-FlexFloatDyn fma(const FlexFloatDyn& a, const FlexFloatDyn& b,
-                 const FlexFloatDyn& c) noexcept {
-    assert(a.format() == b.format() && b.format() == c.format() &&
-           "mixed-format fma requires explicit casts");
-    FlexFloatDyn::record(a.format_, FpOp::Fma);
-    return FlexFloatDyn::from_rounded(
-        arith::fma(a.value_, b.value_, c.value_, a.format_), a.format_);
 }
 
 std::ostream& operator<<(std::ostream& os, const FlexFloatDyn& x) {

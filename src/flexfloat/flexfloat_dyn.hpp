@@ -12,9 +12,15 @@
 // Semantics are identical to flexfloat<E, M>: every operation routes
 // through the shared arithmetic backend (flexfloat/arith_backend.hpp),
 // which rounds the result to the value's format — natively for
-// hardware-mappable formats, via binary64 + sanitize otherwise; operands of
-// an arithmetic operation must share one format (asserted), and casts are
-// explicit via cast_to().
+// hardware-mappable formats, via binary64 + sanitize otherwise, and not at
+// all under arith::ScopedBinary64, the static analysis' shadow run; operands
+// of an arithmetic operation must share one format (asserted), and casts
+// are explicit via cast_to().
+//
+// It is the one runtime-format value: both instantiations of every kernel
+// (apps/app.hpp) compute on it — sim::PlainContext uses it as its Value,
+// and sim::TpValue wraps one with the SSA id its traced ops record. The ops
+// are header-inline so they inline into the untraced kernels.
 #pragma once
 
 #include <cassert>
@@ -28,9 +34,8 @@
 namespace tp {
 
 namespace sim {
-class TpValue;
-class TpArray; // routed through the backend seam too; see sim/context.hpp
-class TpContext;
+class TpArray;
+class PlainArray;
 }
 
 class FlexFloatDyn {
@@ -46,8 +51,11 @@ public:
     [[nodiscard]] static FlexFloatDyn from_bits(std::uint64_t bits,
                                                 FpFormat format) noexcept;
 
-    /// Explicit format conversion; recorded as a cast instruction.
-    [[nodiscard]] FlexFloatDyn cast_to(FpFormat target) const noexcept;
+    /// Explicit format conversion; booked as a cast.
+    [[nodiscard]] FlexFloatDyn cast_to(FpFormat target) const noexcept {
+        if (stats_enabled()) thread_stats().record_cast(format_, target);
+        return from_rounded(arith::cast(value_, target), target);
+    }
 
     friend FlexFloatDyn operator+(const FlexFloatDyn& a, const FlexFloatDyn& b) noexcept {
         return binary_op(a, b, FpOp::Add);
@@ -62,9 +70,7 @@ public:
         return binary_op(a, b, FpOp::Div);
     }
     friend FlexFloatDyn operator-(const FlexFloatDyn& a) noexcept {
-        record(a.format_, FpOp::Neg);
-        return from_rounded(arith::arith(FpOp::Neg, a.value_, a.value_, a.format_),
-                            a.format_);
+        return unary_op(a, FpOp::Neg);
     }
 
     FlexFloatDyn& operator+=(const FlexFloatDyn& rhs) noexcept { return *this = *this + rhs; }
@@ -97,33 +103,35 @@ public:
         return a.value_ >= b.value_;
     }
 
-    friend FlexFloatDyn sqrt(const FlexFloatDyn& a) noexcept;
-    friend FlexFloatDyn abs(const FlexFloatDyn& a) noexcept;
+    friend FlexFloatDyn sqrt(const FlexFloatDyn& a) noexcept {
+        return unary_op(a, FpOp::Sqrt);
+    }
+    friend FlexFloatDyn abs(const FlexFloatDyn& a) noexcept {
+        return unary_op(a, FpOp::Abs);
+    }
     /// Fused multiply-add with a single rounding: a * b + c.
     friend FlexFloatDyn fma(const FlexFloatDyn& a, const FlexFloatDyn& b,
-                            const FlexFloatDyn& c) noexcept;
-
-private:
-    friend class sim::TpValue;
-    friend class sim::TpArray;
-    friend class sim::TpContext;
-
-    /// Adopts `value` WITHOUT rounding it to `format` — the value may not
-    /// be representable. Only the tracing context's binary64 shadow mode
-    /// (sim/context.hpp Config::binary64_shadow) uses this: there the
-    /// format is a pure dataflow tag and every value is computed in plain
-    /// binary64, so the from_rounded() invariant intentionally fails.
-    static FlexFloatDyn from_raw(double value, FpFormat format) noexcept {
-        FlexFloatDyn result;
-        result.value_ = value;
-        result.format_ = format;
-        return result;
+                            const FlexFloatDyn& c) noexcept {
+        assert(a.format_ == b.format_ && b.format_ == c.format_ &&
+               "mixed-format fma requires explicit casts");
+        record(a.format_, FpOp::Fma);
+        return from_rounded(arith::fma(a.value_, b.value_, c.value_, a.format_),
+                            a.format_);
     }
 
+private:
+    // The array types keep element values already rounded to the element
+    // format, so their loads adopt them through from_rounded().
+    friend class sim::TpArray;
+    friend class sim::PlainArray;
+
     /// Adopts a value the arithmetic backend already rounded to `format` —
-    /// skips the construction-time re-round. Callers promise the invariant.
+    /// skips the construction-time re-round. Callers promise the invariant;
+    /// only under arith::ScopedBinary64, where values stay unrounded
+    /// binary64 by design, does it not hold.
     static FlexFloatDyn from_rounded(double value, FpFormat format) noexcept {
-        assert(value != value || value == detail::sanitize(value, format));
+        assert(arith::binary64() || value != value ||
+               value == detail::sanitize(value, format));
         FlexFloatDyn result;
         result.value_ = value;
         result.format_ = format;
@@ -136,6 +144,11 @@ private:
                "mixed-format arithmetic requires an explicit cast");
         record(a.format_, op);
         return from_rounded(arith::arith(op, a.value_, b.value_, a.format_),
+                            a.format_);
+    }
+    static FlexFloatDyn unary_op(const FlexFloatDyn& a, FpOp op) noexcept {
+        record(a.format_, op);
+        return from_rounded(arith::arith(op, a.value_, a.value_, a.format_),
                             a.format_);
     }
     static void record(FpFormat format, FpOp op) noexcept {

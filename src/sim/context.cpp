@@ -1,69 +1,22 @@
 #include "sim/context.hpp"
 
-#include <cmath>
-
-#include "flexfloat/arith_backend.hpp"
 #include "sim/vectorize.hpp"
 
 namespace tp::sim {
 
-namespace {
-
-/// Plain binary64 evaluation for shadow captures: the op's exact IEEE
-/// double result, no re-rounding to the (tag) format.
-double shadow_eval(FpOp op, double a, double b) noexcept {
-    switch (op) {
-    case FpOp::Add: return a + b;
-    case FpOp::Sub: return a - b;
-    case FpOp::Mul: return a * b;
-    case FpOp::Div: return a / b;
-    case FpOp::Sqrt: return std::sqrt(a);
-    case FpOp::Neg: return -a;
-    case FpOp::Abs: return std::fabs(a);
-    default: return a;
-    }
-}
-
-/// One rounded op through the backend seam — or the unrounded binary64
-/// result in shadow mode.
-double routed(const TpContext* ctx, FpOp op, double a, double b,
-              FpFormat format) noexcept {
-    if (ctx->shadow()) return shadow_eval(op, a, b);
-    return arith::arith(op, a, b, format);
-}
-
-
-void record_op(FpFormat format, FpOp op) noexcept {
-    if (stats_enabled()) thread_stats().record_op(format, op);
-}
-
-} // namespace
-
 // --- TpValue ---------------------------------------------------------------
 
-TpValue TpValue::binary(FpOp op, const TpValue& a, const TpValue& b) {
-    TpContext* ctx = a.ctx_ != nullptr ? a.ctx_ : b.ctx_;
+TpValue TpValue::emit(FpOp op, FlexFloatDyn result, const TpValue& a,
+                      const TpValue& b, const TpValue& c) {
+    TpContext* ctx =
+        a.ctx_ != nullptr ? a.ctx_ : (b.ctx_ != nullptr ? b.ctx_ : c.ctx_);
     assert(ctx != nullptr && "TpValue arithmetic requires a live context");
-    assert((a.ctx_ == nullptr || b.ctx_ == nullptr || a.ctx_ == b.ctx_) &&
+    assert((b.ctx_ == nullptr || b.ctx_ == ctx) &&
+           (c.ctx_ == nullptr || c.ctx_ == ctx) &&
            "operands belong to different contexts");
-    assert(a.format() == b.format() &&
-           "mixed-format arithmetic requires an explicit cast");
-    const FpFormat fmt = a.format();
-    record_op(fmt, op);
-    const double r = routed(ctx, op, a.to_double(), b.to_double(), fmt);
-    const std::int32_t id = ctx->emit_fp(op, fmt, a.id_, b.id_);
-    ctx->record_value(id, r, fmt);
-    return TpValue{ctx, TpContext::adopt(ctx, r, fmt), id};
-}
-
-TpValue TpValue::unary(FpOp op, const TpValue& a) {
-    assert(a.ctx_ != nullptr);
-    const FpFormat fmt = a.format();
-    record_op(fmt, op);
-    const double r = routed(a.ctx_, op, a.to_double(), a.to_double(), fmt);
-    const std::int32_t id = a.ctx_->emit_fp(op, fmt, a.id_, -1);
-    a.ctx_->record_value(id, r, fmt);
-    return TpValue{a.ctx_, TpContext::adopt(a.ctx_, r, fmt), id};
+    const std::int32_t id = ctx->emit_fp(op, result.format(), a.id_, b.id_, c.id_);
+    ctx->record_value(id, result.value(), result.format());
+    return TpValue{ctx, result, id};
 }
 
 bool TpValue::compare(const TpValue& a, const TpValue& b, bool result) {
@@ -74,46 +27,28 @@ bool TpValue::compare(const TpValue& a, const TpValue& b, bool result) {
 }
 
 TpValue operator+(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Add, a, b);
+    return TpValue::emit(FpOp::Add, a.value_ + b.value_, a, b);
 }
 TpValue operator-(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Sub, a, b);
+    return TpValue::emit(FpOp::Sub, a.value_ - b.value_, a, b);
 }
 TpValue operator*(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Mul, a, b);
+    return TpValue::emit(FpOp::Mul, a.value_ * b.value_, a, b);
 }
 TpValue operator/(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Div, a, b);
+    return TpValue::emit(FpOp::Div, a.value_ / b.value_, a, b);
 }
 TpValue operator-(const TpValue& a) {
-    return TpValue::unary(FpOp::Neg, a);
+    return TpValue::emit(FpOp::Neg, -a.value_, a);
 }
 TpValue sqrt(const TpValue& a) {
-    return TpValue::unary(FpOp::Sqrt, a);
+    return TpValue::emit(FpOp::Sqrt, sqrt(a.value_), a);
 }
 TpValue abs(const TpValue& a) {
-    return TpValue::unary(FpOp::Abs, a);
+    return TpValue::emit(FpOp::Abs, abs(a.value_), a);
 }
-TpValue TpValue::ternary(FpOp op, const TpValue& a, const TpValue& b,
-                         const TpValue& c) {
-    TpContext* ctx =
-        a.ctx_ != nullptr ? a.ctx_ : (b.ctx_ != nullptr ? b.ctx_ : c.ctx_);
-    assert(ctx != nullptr && "TpValue fma requires a live context");
-    assert(a.format() == b.format() && b.format() == c.format() &&
-           "mixed-format fma requires explicit casts");
-    const FpFormat fmt = a.format();
-    record_op(fmt, op);
-    const double r =
-        ctx->shadow()
-            ? std::fma(a.to_double(), b.to_double(), c.to_double())
-            : arith::fma(a.to_double(), b.to_double(), c.to_double(), fmt);
-    const std::int32_t id = ctx->emit_fp(op, fmt, a.id_, b.id_, c.id_);
-    ctx->record_value(id, r, fmt);
-    return TpValue{ctx, TpContext::adopt(ctx, r, fmt), id};
-}
-
 TpValue fma(const TpValue& a, const TpValue& b, const TpValue& c) {
-    return TpValue::ternary(FpOp::Fma, a, b, c);
+    return TpValue::emit(FpOp::Fma, fma(a.value_, b.value_, c.value_), a, b, c);
 }
 
 bool operator<(const TpValue& a, const TpValue& b) {
@@ -131,13 +66,10 @@ bool operator>=(const TpValue& a, const TpValue& b) {
 
 TpValue TpValue::cast_to(FpFormat target) const {
     assert(ctx_ != nullptr);
-    if (stats_enabled()) thread_stats().record_cast(format(), target);
-    const double r = ctx_->shadow()
-                         ? to_double() // tags change, the value never rounds
-                         : arith::cast(to_double(), target);
+    const FlexFloatDyn result = value_.cast_to(target);
     const std::int32_t id = ctx_->emit_cast(format(), target, id_);
-    ctx_->record_value(id, r, target);
-    return TpValue{ctx_, TpContext::adopt(ctx_, r, target), id};
+    ctx_->record_value(id, result.value(), target);
+    return TpValue{ctx_, result, id};
 }
 
 // --- TpArray ---------------------------------------------------------------
@@ -146,9 +78,9 @@ TpValue TpArray::load(std::size_t i) {
     assert(i < data_.size());
     const std::int32_t id = ctx_->emit_load(stream_, format_);
     ctx_->record_value(id, data_[i], format_);
-    // Backing-store values are already quantized to the element format
+    // Backing-store values are already rounded to the element format
     // (set_raw / store), so the load skips the construction-time re-round.
-    return TpValue{ctx_, TpContext::adopt(ctx_, data_[i], format_), id};
+    return TpValue{ctx_, FlexFloatDyn::from_rounded(data_[i], format_), id};
 }
 
 void TpArray::store(std::size_t i, const TpValue& value) {
@@ -157,7 +89,7 @@ void TpArray::store(std::size_t i, const TpValue& value) {
            "store requires the array's element format; cast explicitly");
     ctx_->emit_store(stream_, format_, value.id_);
     if (!writers_.empty()) writers_[i] = value.id_;
-    data_[i] = value.to_double(); // already sanitized to this format
+    data_[i] = value.value(); // already rounded to this format
 }
 
 // --- TpContext -------------------------------------------------------------
@@ -172,10 +104,9 @@ TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
     instr.dst = next_id();
     push(instr);
     if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
-    const double raw = static_cast<double>(value);
-    const double r = config_.binary64_shadow ? raw : arith::cast(raw, format);
-    record_value(instr.dst, r, format);
-    return TpValue{this, TpContext::adopt(this, r, format), instr.dst};
+    const FlexFloatDyn result{static_cast<double>(value), format};
+    record_value(instr.dst, result.value(), format);
+    return TpValue{this, result, instr.dst};
 }
 
 void TpContext::int_ops(int n) {

@@ -4,15 +4,19 @@
 // Every application kernel is written once, as a template over its
 // execution context (apps/app.hpp), and instantiated twice:
 //
-//   * on TpContext — values are TpValue handles (dynamic-format FlexFloat
-//     values carrying an SSA id) and TpArray storage. Every arithmetic
-//     operation, cast, load and store is executed with bit-exact FlexFloat
-//     semantics AND recorded into the instruction trace the virtual
+//   * on TpContext — values are TpValue handles (a FlexFloatDyn plus an
+//     SSA id) and TpArray storage. Each arithmetic operation and cast
+//     computes through the matching FlexFloatDyn op and is then recorded,
+//     with every load and store, into the instruction trace the virtual
 //     platform replays. A TpContext always traces.
-//   * on sim::PlainContext (sim/plain_context.hpp) — inline
-//     {double, FpFormat} values that only compute, through the same
-//     rounding entry points: the fast re-runnable binary the
+//   * on sim::PlainContext (sim/plain_context.hpp) — plain FlexFloatDyn
+//     values that only compute: the fast re-runnable binary the
 //     precision-tuning loop needs.
+//
+// Rounding lives in tp::arith alone, so the backend overrides reach both
+// instantiations; under arith::ScopedBinary64 (the static analysis' shadow
+// run, analysis::capture_trace) every value stays unrounded binary64 and
+// the recorded formats are pure dataflow tags.
 //
 // apps::App::run picks the instantiation from Config::trace, so callers
 // select untraced execution by passing an untraced TpContext to App::run;
@@ -30,10 +34,10 @@
 #include <string>
 #include <vector>
 
+#include "flexfloat/arith_backend.hpp"
 #include "flexfloat/flexfloat_dyn.hpp"
 #include "flexfloat/stats.hpp"
 #include "sim/trace.hpp"
-#include "types/encoding.hpp"
 #include "types/format.hpp"
 
 namespace tp::sim {
@@ -47,9 +51,8 @@ class TpValue {
 public:
     TpValue() noexcept = default;
 
-    [[nodiscard]] double to_double() const noexcept { return value_.value(); }
+    [[nodiscard]] double value() const noexcept { return value_.value(); }
     [[nodiscard]] FpFormat format() const noexcept { return value_.format(); }
-    [[nodiscard]] const FlexFloatDyn& flex() const noexcept { return value_; }
 
     /// Explicit format conversion; emits a cast instruction.
     [[nodiscard]] TpValue cast_to(FpFormat target) const;
@@ -76,13 +79,11 @@ private:
     TpValue(TpContext* ctx, FlexFloatDyn value, std::int32_t id) noexcept
         : value_(value), id_(id), ctx_(ctx) {}
 
-    // The ops compute their own result through the arithmetic backend
-    // (flexfloat/arith_backend.hpp), which honors the process and thread
-    // backend overrides; results adopt the already-rounded value.
-    static TpValue binary(FpOp op, const TpValue& a, const TpValue& b);
-    static TpValue ternary(FpOp op, const TpValue& a, const TpValue& b,
-                           const TpValue& c);
-    static TpValue unary(FpOp op, const TpValue& a);
+    /// Records `result`, computed by the FlexFloatDyn op on the operands'
+    /// values, as one `op` instruction reading them (absent operands are
+    /// default TpValues, id -1).
+    static TpValue emit(FpOp op, FlexFloatDyn result, const TpValue& a,
+                        const TpValue& b = {}, const TpValue& c = {});
     static bool compare(const TpValue& a, const TpValue& b, bool result);
 
     FlexFloatDyn value_{};
@@ -98,9 +99,12 @@ public:
     [[nodiscard]] FpFormat format() const noexcept { return format_; }
     [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
 
-    /// Setup-time write: quantized to the element format (kept exact in
-    /// binary64 shadow mode), no instruction. Defined after TpContext.
-    void set_raw(std::size_t i, double value) noexcept;
+    /// Setup-time write: rounded to the element format through
+    /// arith::cast, no instruction.
+    void set_raw(std::size_t i, double value) noexcept {
+        assert(i < data_.size());
+        data_[i] = arith::cast(value, format_);
+    }
     /// Readout without instruction emission. Under a record_values capture
     /// each read is additionally recorded as an output tap (the element's
     /// last-stored value id, format and value) — the anchor points the
@@ -139,23 +143,12 @@ public:
         /// keyed by the ids the trace assigns. Static-analysis captures
         /// (src/analysis/) are the only intended user.
         bool record_values = false;
-        /// Compute every operation in plain binary64, ignoring the formats
-        /// (which stay recorded in the trace): casts and loads pass values
-        /// through, set_raw skips quantization, arithmetic never rounds.
-        /// Control flow then follows the binary64 golden execution exactly,
-        /// turning the per-value formats into pure dataflow tags — the
-        /// shadow reference run the static analysis captures once per
-        /// input set (with a per-signal tagging config, the format of a
-        /// value identifies the signal that produced it).
-        bool binary64_shadow = false;
     };
 
     TpContext() : TpContext(Config{}) {}
     explicit TpContext(Config config) : config_(config) {
         assert((!config_.record_values || config_.trace) &&
                "record_values keys value records by trace-assigned ids");
-        assert((!config_.binary64_shadow || config_.trace) &&
-               "the plain instantiation has no binary64 shadow mode");
     }
     TpContext(const TpContext&) = delete;
     TpContext& operator=(const TpContext&) = delete;
@@ -169,9 +162,7 @@ public:
     /// kept in registers by the compiler), but the id IS recorded under
     /// record_values — constants are the leaves of the dataflow graph.
     [[nodiscard]] TpValue constant(double value, FpFormat format) {
-        const FlexFloatDyn ff = config_.binary64_shadow
-                                    ? FlexFloatDyn::from_raw(value, format)
-                                    : FlexFloatDyn{value, format};
+        const FlexFloatDyn ff{value, format};
         const std::int32_t id = next_id();
         record_value(id, ff.value(), format);
         return TpValue{this, ff, id};
@@ -205,9 +196,6 @@ public:
     [[nodiscard]] bool recording() const noexcept {
         return config_.record_values;
     }
-    [[nodiscard]] bool shadow() const noexcept {
-        return config_.binary64_shadow;
-    }
 
     /// Hands the recorded trace out (and resets the context's trace state).
     /// `apply_simd` runs the vectorization pass, modelling the SIMD-enabled
@@ -238,16 +226,6 @@ private:
     std::int32_t emit_load(std::uint32_t stream, FpFormat fmt);
     void emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src);
 
-    /// Wraps a backend result in a FlexFloatDyn: adopted as-rounded
-    /// normally, adopted raw (possibly unrepresentable in `format`) in
-    /// shadow mode. Static so TpValue/TpArray (friends) reach FlexFloatDyn's
-    /// private adopters through one seam.
-    static FlexFloatDyn adopt(const TpContext* ctx, double value,
-                              FpFormat format) noexcept {
-        return ctx->shadow() ? FlexFloatDyn::from_raw(value, format)
-                             : FlexFloatDyn::from_rounded(value, format);
-    }
-
     /// Books the concrete value an id took (record_values captures only).
     /// Ids are dense and assigned in creation order, so the records vector
     /// stays aligned with them by construction.
@@ -275,11 +253,6 @@ inline TpArray::TpArray(TpContext* ctx, std::uint32_t stream, FpFormat format,
                         std::size_t n)
     : ctx_(ctx), stream_(stream), format_(format), data_(n, 0.0) {
     if (ctx_->recording()) writers_.assign(n, -1);
-}
-
-inline void TpArray::set_raw(std::size_t i, double value) noexcept {
-    assert(i < data_.size());
-    data_[i] = ctx_->shadow() ? value : quantize(value, format_);
 }
 
 inline double TpArray::raw(std::size_t i) const {

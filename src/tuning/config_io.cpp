@@ -39,7 +39,12 @@ PrecisionConfig read_precision_config(std::istream& is) {
                                      std::to_string(line_no) +
                                      ": trailing tokens");
         }
-        config[name] = bits;
+        if (!config.emplace(name, bits).second) {
+            throw std::runtime_error("precision config line " +
+                                     std::to_string(line_no) +
+                                     ": signal '" + name +
+                                     "' is already set on an earlier line");
+        }
     }
     return config;
 }

@@ -25,7 +25,7 @@ namespace tp::tuning {
 using PrecisionConfig = std::map<std::string, int>;
 
 /// Parses a configuration stream; throws std::runtime_error on malformed
-/// lines or out-of-range precisions.
+/// lines, out-of-range precisions, or a signal named on two lines.
 [[nodiscard]] PrecisionConfig read_precision_config(std::istream& is);
 
 /// Parses and validates against `table`: every named signal must exist.

@@ -45,6 +45,7 @@
 #include "analysis/range_analysis.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
+#include "flexfloat/arith_backend.hpp"
 #include "flexfloat/stats.hpp"
 #include "sim/platform.hpp"
 #include "tuning/cast_aware.hpp"
@@ -192,7 +193,9 @@ struct CountedRun {
 // for bit — compared as bit patterns, since EXPECT_EQ on doubles accepts
 // +0 against -0 and rejects equal NaNs — and book identical FlexFloat
 // operation and cast counts, which perfbench's ns-per-op figure and the
-// examples' operation reports read.
+// examples' operation reports read. The "shadow" binding is the static
+// analysis' capture run: the tagging config under arith::ScopedBinary64,
+// where no value is rounded.
 TEST_P(AppConformanceTest, TracedAndUntracedRunsAgree) {
     const auto app = this->app();
     std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
@@ -206,8 +209,10 @@ TEST_P(AppConformanceTest, TracedAndUntracedRunsAgree) {
         mixed.set(id, kBinary8);
     }
     bindings.emplace_back("mixed", mixed);
+    bindings.emplace_back("shadow", analysis::tagging_config(mixed.size()));
 
     for (const auto& [binding, config] : bindings) {
+        const arith::ScopedBinary64 shadow{binding == "shadow"};
         for (unsigned set = 0; set < 3; ++set) {
             const std::string label =
                 GetParam() + " " + binding + " set " + std::to_string(set);
@@ -468,8 +473,7 @@ TEST_P(AppConformanceTest, StaticAnalysisBoundsAreSound) {
         // distinct formats, so it aligns with the capture).
         app->prepare(set);
         sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                                  .record_values = true,
-                                                  .binary64_shadow = false}};
+                                                  .record_values = true}};
         const apps::TypeConfig probe = analysis::staircase_config(S);
         (void)app->run(ctx, probe);
         const sim::TraceProgram observed = ctx.take_program(false);

@@ -217,8 +217,7 @@ TEST(SignalFlow, AlignmentTransfersSignalsAndDetectsMismatch) {
     // structurally. The staircase config is the designated probe for this.
     app->prepare(0);
     sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                              .record_values = true,
-                                              .binary64_shadow = false}};
+                                              .record_values = true}};
     (void)app->run(ctx, analysis::staircase_config(S));
     sim::TraceProgram observed = ctx.take_program(false);
     const auto mapped =

@@ -185,6 +185,41 @@ TEST(BackendKnob, ScopeIsThreadLocalAndRestores) {
         EXPECT_EQ(other_thread_forced, env);
     }
     EXPECT_EQ(tp::arith::force_emulated(), env);
+
+    // The binary64 shadow scope is a second, independent bit of the same
+    // thread override: thread-local, restored on exit, and nesting with
+    // the emulation scope in either order without clearing it.
+    EXPECT_FALSE(tp::arith::binary64());
+    {
+        const tp::arith::ScopedBinary64 shadow;
+        EXPECT_TRUE(tp::arith::binary64());
+        EXPECT_EQ(tp::arith::force_emulated(), env);
+        {
+            const tp::arith::ScopedForceEmulated forced;
+            EXPECT_TRUE(tp::arith::binary64());
+            EXPECT_TRUE(tp::arith::force_emulated());
+            EXPECT_EQ(tp::arith::resolve(kBinary16Alt), BackendKind::kNativeF64);
+        }
+        EXPECT_TRUE(tp::arith::binary64());
+        EXPECT_EQ(tp::arith::force_emulated(), env);
+        bool other_thread_shadow = true;
+        std::thread probe{[&] { other_thread_shadow = tp::arith::binary64(); }};
+        probe.join();
+        EXPECT_FALSE(other_thread_shadow);
+    }
+    EXPECT_FALSE(tp::arith::binary64());
+    {
+        const tp::arith::ScopedForceEmulated forced;
+        {
+            const tp::arith::ScopedBinary64 shadow;
+            EXPECT_TRUE(tp::arith::binary64());
+            EXPECT_TRUE(tp::arith::force_emulated());
+        }
+        EXPECT_FALSE(tp::arith::binary64());
+        EXPECT_TRUE(tp::arith::force_emulated());
+    }
+    EXPECT_FALSE(tp::arith::binary64());
+    EXPECT_EQ(tp::arith::force_emulated(), env);
 }
 
 TEST(BackendKnob, ResolveHonorsOverride) {
@@ -194,9 +229,35 @@ TEST(BackendKnob, ResolveHonorsOverride) {
     EXPECT_EQ(tp::arith::resolve(kBinary64),
               env ? BackendKind::kEmulated : BackendKind::kNativeF64);
     EXPECT_EQ(tp::arith::resolve(kBinary16Alt), BackendKind::kEmulated);
-    const tp::arith::ScopedForceEmulated scope;
-    EXPECT_EQ(tp::arith::resolve(kBinary32), BackendKind::kEmulated);
-    EXPECT_EQ(tp::arith::resolve(kBinary64), BackendKind::kEmulated);
+    {
+        const tp::arith::ScopedForceEmulated scope;
+        EXPECT_EQ(tp::arith::resolve(kBinary32), BackendKind::kEmulated);
+        EXPECT_EQ(tp::arith::resolve(kBinary64), BackendKind::kEmulated);
+    }
+
+    // ScopedBinary64 resolves every format to binary64 and wins over both
+    // emulation overrides (the env one included, when set): arith, fma and
+    // cast return the plain, unrounded binary64 result.
+    const tp::arith::ScopedForceEmulated forced;
+    const tp::arith::ScopedBinary64 shadow;
+    const double third = 1.0 / 3.0;
+    const double tenth = 0.1;
+    for (const FpFormat format : {kBinary32, kBinary16Alt, FpFormat{5, 3}}) {
+        const std::string tag = format_name(format);
+        EXPECT_EQ(tp::arith::resolve(format), BackendKind::kNativeF64) << tag;
+        EXPECT_EQ(bits_of(tp::arith::arith(FpOp::Add, third, tenth, format)),
+                  bits_of(third + tenth)) << tag;
+        EXPECT_EQ(bits_of(tp::arith::arith(FpOp::Div, tenth, third, format)),
+                  bits_of(tenth / third)) << tag;
+        EXPECT_EQ(bits_of(tp::arith::arith(FpOp::Sqrt, tenth, tenth, format)),
+                  bits_of(std::sqrt(tenth))) << tag;
+        EXPECT_EQ(bits_of(tp::arith::fma(third, tenth, third, format)),
+                  bits_of(std::fma(third, tenth, third))) << tag;
+        EXPECT_EQ(bits_of(tp::arith::cast(third, format)), bits_of(third)) << tag;
+        // ...which is not the format's rounding (quantize, the bit-level
+        // reference, ignores every override).
+        EXPECT_NE(tp::quantize(third, format), third) << tag;
+    }
 }
 
 // --- native path vs emulated, directly -------------------------------------
@@ -509,8 +570,8 @@ TEST(BackendLayers, TpContextConfigKnobBitIdentical) {
                 acc = sqrt(abs(acc)) - x;
                 data.store(i, acc);
             }
-            out.push_back(acc.to_double());
-            out.push_back(acc.cast_to(kBinary16).to_double());
+            out.push_back(acc.value());
+            out.push_back(acc.cast_to(kBinary16).value());
             for (std::size_t i = 0; i < data.size(); ++i) out.push_back(data.raw(i));
         }
         return out;

@@ -29,9 +29,9 @@ using tp::sim::TpContext;
 TEST(Context, ValuesComputeWithFlexFloatSemantics) {
     TpContext ctx;
     const auto a = ctx.constant(0.3, tp::kBinary8);
-    EXPECT_EQ(a.to_double(), 0.3125); // sanitized on construction
+    EXPECT_EQ(a.value(), 0.3125); // sanitized on construction
     const auto b = ctx.constant(0.25, tp::kBinary8);
-    EXPECT_EQ((a + b).to_double(), tp::quantize(0.3125 + 0.25, tp::kBinary8));
+    EXPECT_EQ((a + b).value(), tp::quantize(0.3125 + 0.25, tp::kBinary8));
 }
 
 TEST(Context, ConstantEmitsNoInstruction) {
@@ -136,7 +136,7 @@ std::vector<double> every_op(Ctx& ctx) {
             const auto region = ctx.vector_region();
             for (std::size_t i = 4; i < data.size(); ++i) body(i);
         }
-        out.push_back(acc.cast_to(tp::kBinary16).to_double());
+        out.push_back(acc.cast_to(tp::kBinary16).value());
         for (std::size_t i = 0; i < data.size(); ++i) out.push_back(data.raw(i));
     }
     return out;
@@ -180,7 +180,7 @@ TEST(Context, PlainAndTracedOpsAgree) {
 TEST(Context, FromIntEmitsConversion) {
     TpContext ctx;
     const auto v = ctx.from_int(7, tp::kBinary16);
-    EXPECT_EQ(v.to_double(), 7.0);
+    EXPECT_EQ(v.value(), 7.0);
     const auto program = ctx.take_program(false);
     ASSERT_EQ(program.instrs.size(), 1u);
     EXPECT_EQ(program.instrs[0].kind, InstrKind::FpCast);

@@ -1,5 +1,6 @@
 #include "flexfloat/flexfloat.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flexfloat/arith_backend.hpp"
 #include "flexfloat/sanitize.hpp"
 #include "softfloat/softfloat.hpp"
 #include "types/encoding.hpp"
@@ -176,22 +178,41 @@ TEST(FlexFloatBitExact, TinyFormat_e3m3) { cross_check_ops<3, 3>(6, 100000); }
 
 // --- the sanitize fast path must equal the exact quantize ------------------
 
+// sanitize's fast path, and tp::arith::cast on the resolved backend and
+// forced-emulated, all match the bit-level quantize() reference on every
+// (e, m) of the format lattice. PlainArray and TpArray round their
+// set_raw() writes with arith::cast, so this is also their check.
 TEST(FlexFloatSanitize, FastPathMatchesQuantizeEverywhere) {
     tp::util::Xoshiro256 rng{0x5A71};
-    const FpFormat formats[] = {tp::kBinary8, tp::kBinary16, tp::kBinary16Alt,
-                                tp::kBinary32, FpFormat{4, 6}, FpFormat{11, 52}};
-    for (const FpFormat f : formats) {
-        for (int i = 0; i < 200000; ++i) {
-            // Bias the exponent distribution towards the format's interesting
-            // boundaries (overflow, underflow, subnormals).
-            const int exp = static_cast<int>(rng.uniform_int(-1060, 1023));
-            double v = std::ldexp(rng.uniform(1.0, 2.0), exp);
-            if (rng() & 1) v = -v;
-            const double fast = tp::detail::sanitize(v, f);
-            const double slow = tp::quantize(v, f);
-            ASSERT_EQ(fast, slow) << "v=" << v << " e=" << int{f.exp_bits}
-                                  << " m=" << int{f.mant_bits};
-            ASSERT_EQ(std::signbit(fast), std::signbit(slow));
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (int e = 1; e <= 11; ++e) {
+        for (int m = 1; m <= 52; ++m) {
+            const FpFormat f{static_cast<std::uint8_t>(e),
+                             static_cast<std::uint8_t>(m)};
+            // Half the samples sit in the format's own range, edges
+            // included (overflow, underflow, subnormals); half span binary64.
+            const int lo = std::ilogb(tp::min_subnormal(f)) - 2;
+            const int hi = std::ilogb(tp::max_finite(f)) + 2;
+            for (int i = 0; i < 1000; ++i) {
+                const int exp = static_cast<int>(
+                    i % 2 ? rng.uniform_int(lo, hi) : rng.uniform_int(-1060, 1023));
+                double v = std::ldexp(rng.uniform(1.0, 2.0), exp);
+                if (rng() & 1) v = -v;
+                const double slow = tp::quantize(v, f);
+                const double fast = tp::detail::sanitize(v, f);
+                const double cast = tp::arith::cast(v, f);
+                double emulated = 0.0;
+                {
+                    const tp::arith::ScopedForceEmulated scope;
+                    emulated = tp::arith::cast(v, f);
+                }
+                ASSERT_EQ(bits(fast), bits(slow)) << "sanitize v=" << v << " e=" << e
+                                                  << " m=" << m;
+                ASSERT_EQ(bits(cast), bits(slow)) << "cast v=" << v << " e=" << e
+                                                  << " m=" << m;
+                ASSERT_EQ(bits(emulated), bits(slow))
+                    << "emulated cast v=" << v << " e=" << e << " m=" << m;
+            }
         }
     }
 }

@@ -274,7 +274,7 @@ TEST(ContextFma, EmitsTernaryInstr) {
     const auto b = ctx.constant(2.0, tp::kBinary16);
     const auto c = ctx.constant(0.25, tp::kBinary16);
     const auto r = fma(a, b, c);
-    EXPECT_EQ(r.to_double(), 3.25);
+    EXPECT_EQ(r.value(), 3.25);
     const auto program = ctx.take_program(false);
     ASSERT_EQ(program.instrs.size(), 1u);
     EXPECT_EQ(program.instrs[0].op, tp::FpOp::Fma);

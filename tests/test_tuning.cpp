@@ -62,6 +62,18 @@ TEST(ConfigIo, RejectsMalformedLines) {
     std::istringstream not_a_number{"grid twelve\n"};
     EXPECT_THROW((void)tp::tuning::read_precision_config(not_a_number),
                  std::runtime_error);
+    // A signal named twice is ambiguous, not "last one wins": the error
+    // names the second line and the signal, also on the warm-start path.
+    const auto app = tp::apps::make_app("jacobi");
+    std::istringstream duplicate{"grid 8\ngrid 20\ngrid_in 5\ncoeff 6\ntmp 7\n"};
+    try {
+        (void)tp::tuning::read_warm_start_seed(duplicate, app->signal_table());
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("'grid'"), std::string::npos) << what;
+    }
 }
 
 TEST(ConfigIo, ValidatesAgainstSignalTable) {
