@@ -6,9 +6,12 @@
 //
 //   * on TpContext — values are TpValue handles (a FlexFloatDyn plus an
 //     SSA id) and TpArray storage. Each arithmetic operation and cast
-//     computes through the matching FlexFloatDyn op and is then recorded,
-//     with every load and store, into the instruction trace the virtual
-//     platform replays. A TpContext always traces.
+//     computes through the matching FlexFloatDyn op and then emits its
+//     instruction, as does every load and store. A TpContext always traces,
+//     in one of two modes: it stores the trace for take_program(), or, in
+//     cost mode (Costing), prices each instruction on the virtual platform
+//     as it is emitted, a small buffer at a time, and stores nothing;
+//     take_report() returns the priced run.
 //   * on sim::PlainContext (sim/plain_context.hpp) — plain FlexFloatDyn
 //     values that only compute: the fast re-runnable binary the
 //     precision-tuning loop needs.
@@ -26,18 +29,21 @@
 // kernel source serves the binary32 baseline, every tuning trial, and the
 // final mixed-format configuration — exactly the property FlexFloat's
 // template class gives the paper's programs, transplanted to runtime
-// formats.
+// formats. The emit path is inline: it runs once per traced instruction.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "flexfloat/arith_backend.hpp"
 #include "flexfloat/flexfloat_dyn.hpp"
 #include "flexfloat/stats.hpp"
+#include "sim/platform.hpp"
 #include "sim/trace.hpp"
+#include "sim/vectorize.hpp"
 #include "types/format.hpp"
 
 namespace tp::sim {
@@ -145,11 +151,21 @@ public:
         bool record_values = false;
     };
 
+    /// Cost mode: a traced context that prices its run while the kernel
+    /// emits it (sim::CostStream), vectorized when `simd`, and stores no
+    /// trace. EvalEngine::report runs every cost probe in it.
+    struct Costing {
+        bool simd = false;
+    };
+
     TpContext() : TpContext(Config{}) {}
     explicit TpContext(Config config) : config_(config) {
         assert((!config_.record_values || config_.trace) &&
                "record_values keys value records by trace-assigned ids");
     }
+    explicit TpContext(Costing costing)
+        : cost_(std::make_unique<CostStream>(costing.simd)),
+          cost_buffer_(std::make_unique<Instr[]>(kCostBuffer)) {}
     TpContext(const TpContext&) = delete;
     TpContext& operator=(const TpContext&) = delete;
 
@@ -170,7 +186,20 @@ public:
 
     /// Integer -> FP conversion instruction (e.g. loop index entering the
     /// FP dataflow).
-    [[nodiscard]] TpValue from_int(std::int64_t value, FpFormat format);
+    [[nodiscard]] TpValue from_int(std::int64_t value, FpFormat format) {
+        Instr instr;
+        instr.kind = InstrKind::FpCast;
+        instr.op = FpOp::FromInt;
+        instr.fmt = format;
+        instr.fmt2 = format;
+        instr.vectorizable = in_vector_region();
+        instr.dst = next_id();
+        push(instr);
+        if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
+        const FlexFloatDyn result{static_cast<double>(value), format};
+        record_value(instr.dst, result.value(), format);
+        return TpValue{this, result, instr.dst};
+    }
 
     /// Array backed by the simulated data memory.
     [[nodiscard]] TpArray make_array(FpFormat format, std::size_t n) {
@@ -178,9 +207,21 @@ public:
     }
 
     /// Integer ALU work (index arithmetic, address generation, selects).
-    void int_ops(int n = 1);
+    void int_ops(int n = 1) {
+        for (int i = 0; i < n; ++i) {
+            Instr instr;
+            instr.kind = InstrKind::IntAlu;
+            push(instr);
+        }
+    }
     /// Control transfer; pays a pipeline bubble when simulated.
-    void branch(int n = 1);
+    void branch(int n = 1) {
+        for (int i = 0; i < n; ++i) {
+            Instr instr;
+            instr.kind = InstrKind::Branch;
+            push(instr);
+        }
+    }
     /// Canonical per-iteration loop overhead: induction update + branch.
     void loop_iteration() {
         int_ops(1);
@@ -201,30 +242,103 @@ public:
     /// `apply_simd` runs the vectorization pass, modelling the SIMD-enabled
     /// toolchain; pass false for the scalar baseline. A trace that never
     /// entered a vector region has nothing to pack, and skips the pass.
+    /// Not available in cost mode, which stores no trace.
     [[nodiscard]] TraceProgram take_program(bool apply_simd);
+
+    /// Cost mode only: prices the instructions still buffered and hands the
+    /// run's report out — the report simulate(take_program(simd)) gives for
+    /// the same run traced, bit for bit — then starts a new run.
+    [[nodiscard]] RunReport take_report();
 
 private:
     friend class TpValue;
     friend class TpArray;
 
+    /// Instructions a cost-mode context buffers before pricing them: small
+    /// enough to stay in L1, large enough that the per-buffer checks vanish.
+    static constexpr std::size_t kCostBuffer = 256;
+
     std::int32_t next_id() noexcept {
         return static_cast<std::int32_t>(value_count_++);
     }
 
-    /// Appends a captured instruction, noting whether any was vectorizable.
+    /// Emits one instruction: into the cost buffer in cost mode, which goes
+    /// to cost_ when full, else onto the stored trace.
     void push(const Instr& instr) {
         assert(config_.trace &&
                "an untraced TpContext only selects App::run's plain kernel");
+        if (cost_buffer_ != nullptr) {
+            cost_buffer_[cost_size_] = instr;
+            if (++cost_size_ == kCostBuffer) feed_cost();
+            return;
+        }
         any_vectorizable_ = any_vectorizable_ || instr.vectorizable;
         trace_.push_back(instr);
     }
 
+    /// Prices the buffered instructions and empties the buffer.
+    void feed_cost();
+
     std::int32_t emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
-                         std::int32_t src2, std::int32_t src3 = -1);
-    void emit_cmp(FpFormat fmt, std::int32_t src1, std::int32_t src2);
-    std::int32_t emit_cast(FpFormat from, FpFormat to, std::int32_t src);
-    std::int32_t emit_load(std::uint32_t stream, FpFormat fmt);
-    void emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src);
+                         std::int32_t src2, std::int32_t src3 = -1) {
+        Instr instr;
+        instr.kind = InstrKind::FpArith;
+        instr.op = op;
+        instr.fmt = fmt;
+        instr.vectorizable = in_vector_region();
+        instr.src1 = src1;
+        instr.src2 = src2;
+        instr.src3 = src3;
+        instr.dst = next_id();
+        push(instr);
+        return instr.dst;
+    }
+
+    void emit_cmp(FpFormat fmt, std::int32_t src1, std::int32_t src2) {
+        Instr instr;
+        instr.kind = InstrKind::FpArith;
+        instr.op = FpOp::Cmp;
+        instr.fmt = fmt;
+        instr.vectorizable = false; // compares feed control flow, never SIMD
+        instr.src1 = src1;
+        instr.src2 = src2;
+        push(instr);
+    }
+
+    std::int32_t emit_cast(FpFormat from, FpFormat to, std::int32_t src) {
+        Instr instr;
+        instr.kind = InstrKind::FpCast;
+        instr.fmt = from;
+        instr.fmt2 = to;
+        instr.vectorizable = in_vector_region();
+        instr.src1 = src;
+        instr.dst = next_id();
+        push(instr);
+        return instr.dst;
+    }
+
+    std::int32_t emit_load(std::uint32_t stream, FpFormat fmt) {
+        Instr instr;
+        instr.kind = InstrKind::Load;
+        instr.fmt = fmt;
+        instr.bytes = static_cast<std::uint8_t>(fmt.storage_bytes());
+        instr.stream = stream;
+        instr.vectorizable = in_vector_region();
+        instr.dst = next_id();
+        push(instr);
+        return instr.dst;
+    }
+
+    void emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src) {
+        Instr instr;
+        instr.kind = InstrKind::Store;
+        instr.fmt = fmt;
+        instr.bytes = static_cast<std::uint8_t>(fmt.storage_bytes());
+        instr.stream = stream;
+        instr.vectorizable = in_vector_region();
+        instr.src1 = src;
+        push(instr);
+    }
 
     /// Books the concrete value an id took (record_values captures only).
     /// Ids are dense and assigned in creation order, so the records vector
@@ -243,11 +357,85 @@ private:
     Config config_;
     Trace trace_;
     bool any_vectorizable_ = false; // trace_ holds a vectorizable instruction
+    // Cost mode only; null otherwise, so an untraced context stays cheap.
+    std::unique_ptr<CostStream> cost_;
+    std::unique_ptr<Instr[]> cost_buffer_;
+    std::size_t cost_size_ = 0; // instructions waiting in cost_buffer_
     std::size_t value_count_ = 0;
     std::uint32_t next_stream_ = 1;
     std::vector<ValueRecord> values_;
     std::vector<OutputTap> taps_;
 };
+
+// --- TpValue ---------------------------------------------------------------
+
+inline TpValue TpValue::emit(FpOp op, FlexFloatDyn result, const TpValue& a,
+                             const TpValue& b, const TpValue& c) {
+    TpContext* ctx =
+        a.ctx_ != nullptr ? a.ctx_ : (b.ctx_ != nullptr ? b.ctx_ : c.ctx_);
+    assert(ctx != nullptr && "TpValue arithmetic requires a live context");
+    assert((b.ctx_ == nullptr || b.ctx_ == ctx) &&
+           (c.ctx_ == nullptr || c.ctx_ == ctx) &&
+           "operands belong to different contexts");
+    const std::int32_t id = ctx->emit_fp(op, result.format(), a.id_, b.id_, c.id_);
+    ctx->record_value(id, result.value(), result.format());
+    return TpValue{ctx, result, id};
+}
+
+inline bool TpValue::compare(const TpValue& a, const TpValue& b, bool result) {
+    TpContext* ctx = a.ctx_ != nullptr ? a.ctx_ : b.ctx_;
+    assert(ctx != nullptr);
+    ctx->emit_cmp(a.format(), a.id_, b.id_);
+    return result;
+}
+
+inline TpValue operator+(const TpValue& a, const TpValue& b) {
+    return TpValue::emit(FpOp::Add, a.value_ + b.value_, a, b);
+}
+inline TpValue operator-(const TpValue& a, const TpValue& b) {
+    return TpValue::emit(FpOp::Sub, a.value_ - b.value_, a, b);
+}
+inline TpValue operator*(const TpValue& a, const TpValue& b) {
+    return TpValue::emit(FpOp::Mul, a.value_ * b.value_, a, b);
+}
+inline TpValue operator/(const TpValue& a, const TpValue& b) {
+    return TpValue::emit(FpOp::Div, a.value_ / b.value_, a, b);
+}
+inline TpValue operator-(const TpValue& a) {
+    return TpValue::emit(FpOp::Neg, -a.value_, a);
+}
+inline TpValue sqrt(const TpValue& a) {
+    return TpValue::emit(FpOp::Sqrt, sqrt(a.value_), a);
+}
+inline TpValue abs(const TpValue& a) {
+    return TpValue::emit(FpOp::Abs, abs(a.value_), a);
+}
+inline TpValue fma(const TpValue& a, const TpValue& b, const TpValue& c) {
+    return TpValue::emit(FpOp::Fma, fma(a.value_, b.value_, c.value_), a, b, c);
+}
+
+inline bool operator<(const TpValue& a, const TpValue& b) {
+    return TpValue::compare(a, b, a.value_ < b.value_);
+}
+inline bool operator<=(const TpValue& a, const TpValue& b) {
+    return TpValue::compare(a, b, a.value_ <= b.value_);
+}
+inline bool operator>(const TpValue& a, const TpValue& b) {
+    return TpValue::compare(a, b, a.value_ > b.value_);
+}
+inline bool operator>=(const TpValue& a, const TpValue& b) {
+    return TpValue::compare(a, b, a.value_ >= b.value_);
+}
+
+inline TpValue TpValue::cast_to(FpFormat target) const {
+    assert(ctx_ != nullptr);
+    const FlexFloatDyn result = value_.cast_to(target);
+    const std::int32_t id = ctx_->emit_cast(format(), target, id_);
+    ctx_->record_value(id, result.value(), target);
+    return TpValue{ctx_, result, id};
+}
+
+// --- TpArray ---------------------------------------------------------------
 
 inline TpArray::TpArray(TpContext* ctx, std::uint32_t stream, FpFormat format,
                         std::size_t n)
@@ -262,6 +450,24 @@ inline double TpArray::raw(std::size_t i) const {
                               data_[i]);
     }
     return data_[i];
+}
+
+inline TpValue TpArray::load(std::size_t i) {
+    assert(i < data_.size());
+    const std::int32_t id = ctx_->emit_load(stream_, format_);
+    ctx_->record_value(id, data_[i], format_);
+    // Backing-store values are already rounded to the element format
+    // (set_raw / store), so the load skips the construction-time re-round.
+    return TpValue{ctx_, FlexFloatDyn::from_rounded(data_[i], format_), id};
+}
+
+inline void TpArray::store(std::size_t i, const TpValue& value) {
+    assert(i < data_.size());
+    assert(value.format() == format_ &&
+           "store requires the array's element format; cast explicitly");
+    ctx_->emit_store(stream_, format_, value.id_);
+    if (!writers_.empty()) writers_[i] = value.id_;
+    data_[i] = value.value(); // already rounded to this format
 }
 
 } // namespace tp::sim

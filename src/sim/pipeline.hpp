@@ -12,6 +12,10 @@
 //   * loads hit a single-cycle scratchpad (TCDM), taken branches pay one
 //     bubble;
 //   * a SIMD group retires its lanes in a single issue slot.
+//
+// These rules live in sim::CostModel (sim/platform.hpp), beside the energy
+// rules, so that a streamed run and a replayed program are timed by the
+// same code.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +24,16 @@
 
 namespace tp::sim {
 
-struct CoreParams; // sim/platform.hpp
-
 struct PipelineResult {
     std::uint64_t cycles = 0;       // total execution cycles
     std::uint64_t stall_cycles = 0; // cycles lost to dependency/structural stalls
     std::uint64_t issue_slots = 0;  // instructions actually issued (groups = 1)
 };
 
-/// Replays the (possibly vectorized) program and returns cycle counts.
-/// Each memory access (scalar or packed group) additionally occupies
-/// `addr_ops_per_access` integer issue slots for address generation.
+/// Replays the (possibly vectorized) program through sim::CostModel and
+/// returns its timing fields. Each memory access (scalar or packed group)
+/// additionally occupies `addr_ops_per_access` integer issue slots for
+/// address generation.
 [[nodiscard]] PipelineResult run_pipeline(const TraceProgram& program,
                                           int addr_ops_per_access = 2);
 

@@ -1,8 +1,8 @@
 // Plain execution context: the untraced instantiation of every kernel.
 //
 // Kernels are written once, as `template <class Ctx> kernel(Ctx&, ...)`
-// (apps/app.hpp). Instantiated on sim::TpContext they record the
-// instruction trace the virtual platform replays; instantiated on this
+// (apps/app.hpp). Instantiated on sim::TpContext they emit the
+// instruction stream the virtual platform prices; instantiated on this
 // context they only compute — the re-runnable binary the precision-tuning
 // loop executes for every trial, the golden reference and the analysis
 // probe runs.

@@ -3,9 +3,11 @@
 // The PULPino virtual platform the paper uses is cycle accurate and reports
 // per-instruction cycle counts. This reproduction gets the same quantities
 // by executing the real kernels (with real FlexFloat arithmetic) while
-// recording a typed instruction trace, then replaying the trace through an
-// in-order pipeline model with true data dependencies (sim/pipeline.hpp)
-// and integrating energy over it (sim/platform.hpp).
+// emitting a typed instruction stream, and pricing it on an in-order
+// pipeline model with true data dependencies (sim/pipeline.hpp) that
+// integrates energy as it goes (sim/platform.hpp). The stream is priced as
+// it is emitted (sim::CostStream) or stored as a TraceProgram and replayed
+// (sim::simulate); both give the same report.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +55,9 @@ struct Instr {
     }
 };
 
-// Capture and simulation stream 32 bytes per instruction, and the
-// vectorize pass rewrites the trace in place by copying instructions by
-// value: guard both properties.
+// Every emitted instruction is copied by value, 32 bytes at a time: into a
+// cost buffer or a stored trace, through the vectorize window's buckets,
+// and by the in-place rewrite of a stored trace. Guard both properties.
 static_assert(sizeof(Instr) == 32, "Instr layout changed: 32 bytes expected");
 static_assert(std::is_trivially_copyable_v<Instr>);
 
@@ -64,7 +66,8 @@ using Trace = std::vector<Instr>;
 /// A SIMD group created by the vectorization pass: `lanes` element
 /// operations retired by a single instruction slot. Member instructions are
 /// adjacent in the rewritten trace, at indices first_index..last_index; the
-/// group issues at `last_index`.
+/// group issues at `last_index`. (A streamed group is handed to the cost
+/// model with its members and has no trace indices.)
 struct SimdGroup {
     std::size_t first_index = 0; // trace index of the first member
     std::size_t last_index = 0;  // trace index at which the group issues

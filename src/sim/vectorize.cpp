@@ -1,5 +1,6 @@
 #include "sim/vectorize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <tuple>
@@ -25,43 +26,33 @@ struct GroupKey {
     friend bool operator==(const GroupKey&, const GroupKey&) = default;
 };
 
-/// Rewrites a trace so that groupable element operations inside tagged
-/// vector regions become adjacent SIMD groups, preserving dependency order.
-/// This mirrors what a sub-word vectorizing compiler does with an unrolled
-/// loop body: packs independent lanes, keeps serial chains scalar.
+/// The packing window: rewrites an instruction stream so that groupable
+/// element operations inside tagged vector regions become adjacent SIMD
+/// groups, preserving dependency order. This mirrors what a sub-word
+/// vectorizing compiler does with an unrolled loop body: packs independent
+/// lanes, keeps serial chains scalar.
 ///
-/// The rewrite runs in place. Every instruction read is emitted exactly
-/// once, and only after it was read, so the write cursor never passes the
-/// read cursor; the instruction being read is copied out first.
+/// It reads one instruction at a time, in emission order, and hands `Sink`
+/// the rewritten stream: `scalar(instr)` for each scalar and
+/// `group(group, members, count)` for each SIMD group, whose indices the
+/// sink fills if it needs them.
+template <class Sink>
 class Vectorizer {
 public:
-    explicit Vectorizer(TraceProgram& program)
-        : program_(program), pending_(program.value_count, kNone) {}
+    /// `ids` presizes the pending table (a program's value_count); it grows
+    /// past it on demand.
+    Vectorizer(Sink sink, std::size_t ids) : sink_(sink), pending_(ids, kNone) {}
 
-    void run() {
-        program_.groups.clear();
-        Trace& instrs = program_.instrs;
-        for (std::size_t i = 0; i < instrs.size(); ++i) {
-            const Instr instr = instrs[i];
-            read_end_ = i + 1;
-            process(instr);
+    [[nodiscard]] Sink& sink() noexcept { return sink_; }
+
+    /// Whether a bucket is open, i.e. process() may still emit something
+    /// read earlier.
+    [[nodiscard]] bool open() const noexcept {
+        for (const Bucket& bucket : buckets_) {
+            if (bucket.size > 0) return true;
         }
-        flush_all();
-        assert(out_ == instrs.size());
+        return false;
     }
-
-private:
-    static constexpr std::int32_t kNone = -1;
-    static constexpr int kMaxLanes = 4; // 4 x 8-bit lanes in a 32-bit slice
-
-    /// One bucket slot. An open bucket collects members of one key until it
-    /// fills or a consumer forces it out; an empty slot is free for the next
-    /// key that opens. At most one bucket per key is open.
-    struct Bucket {
-        GroupKey key;
-        std::array<Instr, kMaxLanes> members{};
-        int size = 0; // 0 = free slot
-    };
 
     void process(const Instr& instr) {
         if (!instr.vectorizable) {
@@ -105,6 +96,34 @@ private:
         // widths within one key inside the fixed capacity.
         if (bucket.size >= lanes) commit(slot);
     }
+
+    /// Commits open buckets in ascending key order.
+    void flush_all() {
+        for (;;) {
+            std::size_t first = buckets_.size();
+            for (std::size_t s = 0; s < buckets_.size(); ++s) {
+                if (buckets_[s].size > 0 &&
+                    (first == buckets_.size() || buckets_[s].key < buckets_[first].key)) {
+                    first = s;
+                }
+            }
+            if (first == buckets_.size()) return;
+            commit(static_cast<std::int32_t>(first));
+        }
+    }
+
+private:
+    static constexpr std::int32_t kNone = -1;
+    static constexpr int kMaxLanes = 4; // 4 x 8-bit lanes in a 32-bit slice
+
+    /// One bucket slot. An open bucket collects members of one key until it
+    /// fills or a consumer forces it out; an empty slot is free for the next
+    /// key that opens. At most one bucket per key is open.
+    struct Bucket {
+        GroupKey key;
+        std::array<Instr, kMaxLanes> members{};
+        int size = 0; // 0 = free slot
+    };
 
     [[nodiscard]] static bool groupable(const Instr& instr) noexcept {
         switch (instr.kind) {
@@ -159,18 +178,26 @@ private:
         return static_cast<std::int32_t>(s);
     }
 
-    /// Pending-table entry of SSA id `id` (>= 0). The table is sized from
-    /// value_count; a hand-built program whose ids exceed it grows the
-    /// table instead of indexing past it.
+    /// Slot of the open bucket that will produce SSA id `id`, or kNone.
+    [[nodiscard]] std::int32_t pending_slot(std::int32_t id) const noexcept {
+        const auto index = static_cast<std::size_t>(id);
+        return index < pending_.size() ? pending_[index] : kNone;
+    }
+
+    /// Pending-table entry of SSA id `id` (>= 0), for writing. Ids beyond
+    /// the table (a stream, or a hand-built program whose ids exceed
+    /// value_count) grow it instead of indexing past it.
     std::int32_t& pending(std::int32_t id) {
         const auto index = static_cast<std::size_t>(id);
-        if (index >= pending_.size()) pending_.resize(index + 1, kNone);
+        if (index >= pending_.size()) {
+            pending_.resize(std::max(index + 1, 2 * pending_.size()), kNone);
+        }
         return pending_[index];
     }
 
-    [[nodiscard]] bool consumes_from(const Instr& instr, std::int32_t slot) {
+    [[nodiscard]] bool consumes_from(const Instr& instr, std::int32_t slot) const {
         for (std::int32_t src : {instr.src1, instr.src2, instr.src3}) {
-            if (src >= 0 && pending(src) == slot) return true;
+            if (src >= 0 && pending_slot(src) == slot) return true;
         }
         return false;
     }
@@ -178,7 +205,7 @@ private:
     void flush_producers_of(const Instr& instr) {
         for (std::int32_t src : {instr.src1, instr.src2, instr.src3}) {
             if (src < 0) continue;
-            const std::int32_t slot = pending(src);
+            const std::int32_t slot = pending_slot(src);
             if (slot != kNone) commit(slot);
         }
     }
@@ -186,8 +213,8 @@ private:
     /// Emits the bucket's members: a single member stays scalar; several
     /// members become one SIMD group (partially filled groups are legal —
     /// the unit simply silences the unused lanes). Producers pending in
-    /// other buckets are committed first so the output trace stays in
-    /// dependency order.
+    /// other buckets are committed first so the output stays in dependency
+    /// order.
     void commit(std::int32_t slot) {
         const auto s = static_cast<std::size_t>(slot);
         const int size = buckets_[s].size;
@@ -202,62 +229,73 @@ private:
         for (int k = 0; k < size; ++k) {
             flush_producers_of(buckets_[s].members[static_cast<std::size_t>(k)]);
         }
-        Bucket& bucket = buckets_[s];
+        const Bucket& bucket = buckets_[s];
         if (size == 1) {
             Instr scalar = bucket.members.front();
             scalar.simd_group = 0;
-            write(scalar);
+            sink_.scalar(scalar);
             return;
         }
 
         SimdGroup group;
-        group.first_index = out_;
         group.lanes = size;
         group.kind = bucket.key.kind;
         group.op = bucket.key.op;
         group.fmt = bucket.key.fmt;
-        const auto group_id = static_cast<std::uint32_t>(program_.groups.size() + 1);
         for (int k = 0; k < size; ++k) {
-            Instr m = bucket.members[static_cast<std::size_t>(k)];
-            m.simd_group = group_id;
-            group.bytes += m.bytes;
-            write(m);
+            group.bytes += bucket.members[static_cast<std::size_t>(k)].bytes;
         }
-        group.last_index = out_ - 1;
-        program_.groups.push_back(group);
-    }
-
-    /// Commits open buckets in ascending key order.
-    void flush_all() {
-        for (;;) {
-            std::size_t first = buckets_.size();
-            for (std::size_t s = 0; s < buckets_.size(); ++s) {
-                if (buckets_[s].size > 0 &&
-                    (first == buckets_.size() || buckets_[s].key < buckets_[first].key)) {
-                    first = s;
-                }
-            }
-            if (first == buckets_.size()) return;
-            commit(static_cast<std::int32_t>(first));
-        }
+        sink_.group(group, bucket.members.data(), static_cast<std::size_t>(size));
     }
 
     void emit_scalar(const Instr& instr) {
-        write(instr);
         assert(instr.simd_group == 0);
+        sink_.scalar(instr);
     }
 
-    void write(const Instr& instr) noexcept {
-        assert(out_ < read_end_ && "in-place rewrite must trail the read cursor");
-        program_.instrs[out_++] = instr;
-    }
-
-    TraceProgram& program_;
+    Sink sink_;
     std::vector<Bucket> buckets_;
     /// SSA id -> slot of the open bucket that will produce it, or kNone.
     std::vector<std::int32_t> pending_;
-    std::size_t out_ = 0;      // write cursor into program_.instrs
-    std::size_t read_end_ = 0; // instructions read so far
+};
+
+/// vectorize()'s sink: writes the rewritten trace back over the one being
+/// read, in place. Every instruction read is emitted exactly once, and only
+/// after it was read, so the write cursor never passes the read cursor;
+/// vectorize() copies the instruction being read out first.
+struct WriteBack {
+    TraceProgram* program;
+    std::size_t out = 0;      // write cursor into program->instrs
+    std::size_t read_end = 0; // instructions read so far
+
+    void scalar(const Instr& instr) noexcept { write(instr); }
+
+    void group(SimdGroup group, const Instr* members, std::size_t count) {
+        const auto id = static_cast<std::uint32_t>(program->groups.size() + 1);
+        group.first_index = out;
+        for (std::size_t k = 0; k < count; ++k) {
+            Instr m = members[k];
+            m.simd_group = id;
+            write(m);
+        }
+        group.last_index = out - 1;
+        program->groups.push_back(group);
+    }
+
+    void write(const Instr& instr) noexcept {
+        assert(out < read_end && "in-place rewrite must trail the read cursor");
+        program->instrs[out++] = instr;
+    }
+};
+
+/// CostStream's sink: the rewritten stream goes straight to the model.
+struct ToModel {
+    CostModel* model;
+
+    void scalar(const Instr& instr) { model->scalars(&instr, &instr + 1); }
+    void group(const SimdGroup& group, const Instr* members, std::size_t count) {
+        model->group(group, members, count);
+    }
 };
 
 } // namespace
@@ -270,7 +308,44 @@ int simd_lanes_for(FpFormat format) noexcept {
 }
 
 void vectorize(TraceProgram& program) {
-    Vectorizer{program}.run();
+    program.groups.clear();
+    Vectorizer<WriteBack> window{WriteBack{&program}, program.value_count};
+    Trace& instrs = program.instrs;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        const Instr instr = instrs[i];
+        window.sink().read_end = i + 1;
+        window.process(instr);
+    }
+    window.flush_all();
+    assert(window.sink().out == instrs.size());
+}
+
+class CostStream::Window : public Vectorizer<ToModel> {
+public:
+    using Vectorizer::Vectorizer;
+};
+
+CostStream::CostStream(bool simd, const fpu::EnergyModel& model,
+                       const CoreParams& core)
+    : model_(model, core),
+      window_(simd ? std::make_unique<Window>(ToModel{&model_}, 0) : nullptr) {}
+
+CostStream::~CostStream() = default;
+
+void CostStream::feed(std::span<const Instr> instrs) {
+    if (window_ != nullptr &&
+        (window_->open() ||
+         std::any_of(instrs.begin(), instrs.end(),
+                     [](const Instr& instr) { return instr.vectorizable; }))) {
+        for (const Instr& instr : instrs) window_->process(instr);
+        return;
+    }
+    model_.scalars(instrs.data(), instrs.data() + instrs.size());
+}
+
+RunReport CostStream::finish() {
+    if (window_ != nullptr) window_->flush_all();
+    return model_.finish();
 }
 
 } // namespace tp::sim

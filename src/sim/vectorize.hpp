@@ -8,8 +8,17 @@
 // lanes), and groups narrow memory accesses to the same array into packed
 // 32-bit accesses. 32-bit operations are never grouped — the unit has a
 // single 32-bit slice.
+//
+// The pass is a window over the instruction stream that emits scalars and
+// groups in their rewritten order. It has two consumers: vectorize()
+// writes them back into a stored program, and CostStream hands them to the
+// platform's cost model while the kernel is still emitting.
 #pragma once
 
+#include <memory>
+#include <span>
+
+#include "sim/platform.hpp"
 #include "sim/trace.hpp"
 
 namespace tp::sim {
@@ -33,5 +42,38 @@ void vectorize(TraceProgram& program);
 
 /// Lanes a format's width allows in a 32-bit datapath (1, 2 or 4).
 [[nodiscard]] int simd_lanes_for(FpFormat format) noexcept;
+
+/// Prices one execution while it is emitted, storing no trace: the
+/// instructions, fed in emission order in pieces of any length, pass
+/// through the vectorize window (when `simd`) into a CostModel. finish()
+/// returns, bit for bit, the report simulate() gives for the same
+/// instructions stored, vectorized when `simd`, and replayed: the window
+/// hands the model scalars and groups in the rewritten trace's order.
+///
+/// A piece with no vectorizable instruction, fed while no group is open,
+/// goes straight to the model: the window would pass it through unchanged.
+/// TpContext's cost mode feeds it one buffer at a time.
+class CostStream {
+public:
+    explicit CostStream(bool simd,
+                        const fpu::EnergyModel& model = fpu::default_energy_model(),
+                        const CoreParams& core = CoreParams{});
+    ~CostStream();
+    CostStream(const CostStream&) = delete;
+    CostStream& operator=(const CostStream&) = delete;
+
+    [[nodiscard]] bool simd() const noexcept { return window_ != nullptr; }
+
+    /// Prices the next instructions of the run.
+    void feed(std::span<const Instr> instrs);
+
+    /// Closes the open groups and returns the run's report. Call once.
+    [[nodiscard]] RunReport finish();
+
+private:
+    class Window;
+    CostModel model_;
+    std::unique_ptr<Window> window_; // null without simd
+};
 
 } // namespace tp::sim

@@ -231,11 +231,11 @@ EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key) {
         value.output = std::make_shared<const std::vector<double>>(
             app->run(ctx, key.config));
     } else {
-        sim::TpContext ctx; // traced: the platform model needs the program
+        // Traced in cost mode: the platform prices the run as it executes.
+        sim::TpContext ctx{sim::TpContext::Costing{.simd = key.simd}};
         value.output = std::make_shared<const std::vector<double>>(
             app->run(ctx, key.config));
-        value.report = std::make_shared<const sim::RunReport>(
-            sim::simulate(ctx.take_program(key.simd)));
+        value.report = std::make_shared<const sim::RunReport>(ctx.take_report());
     }
     release_clone(std::move(app));
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.kernel_runs; });

@@ -214,8 +214,11 @@ public:
     /// config can be checked against several requirements for one run.
     bool meets(unsigned input_set, const apps::TypeConfig& config, double epsilon);
 
-    /// Traced run + virtual-platform simulation (the cast-aware pass's
-    /// cost oracle). Memoized per (input_set, config, simd).
+    /// Traced run priced on the virtual platform while it executes (the
+    /// cast-aware pass's cost oracle): the kernel runs on a cost-mode
+    /// sim::TpContext, which stores no trace, and the report equals
+    /// sim::simulate of the same run's stored program. Memoized per
+    /// (input_set, config, simd).
     sim::RunReport report(unsigned input_set, const apps::TypeConfig& config,
                           bool simd);
 
@@ -283,8 +286,8 @@ private:
 
     /// Memoized lookup with single-flight execution: returns the cached
     /// value, waits on a concurrent execution of the same key, or runs
-    /// `key` itself (one untraced run for Output keys, one traced run +
-    /// platform simulation for Report keys). Counts kernel_runs /
+    /// `key` itself (one untraced run for Output keys, one run priced on
+    /// the platform as it executes for Report keys). Counts kernel_runs /
     /// cache_hits exactly once per call.
     CacheValue obtain(const CacheKey& key);
 

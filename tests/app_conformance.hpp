@@ -12,9 +12,10 @@
 //   * kernel conformance — well-formed signal declarations, deterministic
 //     golden outputs that differ across input sets, a near-exact binary32
 //     baseline, bit-identical outputs and FlexFloat statistics from the
-//     traced and plain instantiations, a simulatable trace, no FP->FP
-//     casts under a uniform binding, and graceful degradation at the
-//     narrowest formats;
+//     traced and plain instantiations, a simulatable trace, engine reports
+//     (priced while the kernel runs) equal to the replay of a stored
+//     trace, no FP->FP casts under a uniform binding, and graceful
+//     degradation at the narrowest formats;
 //   * clone independence — a clone shares the immutable SignalTable but
 //     carries its own workload, so re-preparing one never disturbs the
 //     other (what the engine's worker-private clone pool relies on);
@@ -188,6 +189,24 @@ struct CountedRun {
     return run;
 }
 
+/// The bindings the kernel battery runs every app under: the four uniform
+/// formats and a mixed binding (binary16 with every odd signal binary8).
+[[nodiscard]] inline std::vector<std::pair<std::string, apps::TypeConfig>>
+conformance_bindings(const apps::App& app) {
+    std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
+        {"binary8", app.uniform_config(kBinary8)},
+        {"binary16", app.uniform_config(kBinary16)},
+        {"binary16alt", app.uniform_config(kBinary16Alt)},
+        {"binary32", app.uniform_config(kBinary32)},
+    };
+    apps::TypeConfig mixed = app.uniform_config(kBinary16);
+    for (apps::SignalId id = 1; id < mixed.size(); id += 2) {
+        mixed.set(id, kBinary8);
+    }
+    bindings.emplace_back("mixed", mixed);
+    return bindings;
+}
+
 // The kernel's two instantiations (apps/app.hpp KernelApp): traced on the
 // TpContext, plain when App::run gets an untraced one. They must agree bit
 // for bit — compared as bit patterns, since EXPECT_EQ on doubles accepts
@@ -198,18 +217,8 @@ struct CountedRun {
 // where no value is rounded.
 TEST_P(AppConformanceTest, TracedAndUntracedRunsAgree) {
     const auto app = this->app();
-    std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
-        {"binary8", app->uniform_config(kBinary8)},
-        {"binary16", app->uniform_config(kBinary16)},
-        {"binary16alt", app->uniform_config(kBinary16Alt)},
-        {"binary32", app->uniform_config(kBinary32)},
-    };
-    apps::TypeConfig mixed = app->uniform_config(kBinary16);
-    for (apps::SignalId id = 1; id < mixed.size(); id += 2) {
-        mixed.set(id, kBinary8);
-    }
-    bindings.emplace_back("mixed", mixed);
-    bindings.emplace_back("shadow", analysis::tagging_config(mixed.size()));
+    auto bindings = conformance_bindings(*app);
+    bindings.emplace_back("shadow", analysis::tagging_config(app->signals().size()));
 
     for (const auto& [binding, config] : bindings) {
         const arith::ScopedBinary64 shadow{binding == "shadow"};
@@ -243,6 +252,27 @@ TEST_P(AppConformanceTest, TraceSimulates) {
     EXPECT_GT(report.fp_ops + report.fp_simd_lane_ops, 0u);
     EXPECT_GT(report.mem_accesses, 0u);
     EXPECT_GT(report.energy.total(), 0.0);
+}
+
+// EvalEngine::report prices its run while the kernel executes (TpContext's
+// cost mode) and stores no trace. Its report must equal the replay of a
+// separate traced run's stored program, vectorized when simd is on.
+TEST_P(AppConformanceTest, EngineReportMatchesReplayedTrace) {
+    const auto app = this->app();
+    tuning::EvalEngine engine{*app, tuning::EvalEngine::Options{}};
+    for (const auto& [binding, config] : conformance_bindings(*app)) {
+        for (unsigned set = 0; set < 3; ++set) {
+            for (const bool simd : {false, true}) {
+                app->prepare(set);
+                sim::TpContext ctx;
+                (void)app->run(ctx, config);
+                EXPECT_TRUE(engine.report(set, config, simd) ==
+                            sim::simulate(ctx.take_program(simd)))
+                    << GetParam() << " " << binding << " set " << set
+                    << (simd ? " simd" : " scalar");
+            }
+        }
+    }
 }
 
 TEST_P(AppConformanceTest, UniformBinary32HasNoCasts) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -13,23 +14,33 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "fpu/latency_model.hpp"
 #include "sim/context.hpp"
+#include "sim/pipeline.hpp"
 #include "sim/platform.hpp"
 #include "sim/trace.hpp"
 
 namespace {
 
+using tp::sim::CostStream;
 using tp::sim::Instr;
 using tp::sim::InstrKind;
+using tp::sim::RunReport;
 using tp::sim::SimdGroup;
 using tp::sim::TpContext;
 using tp::sim::Trace;
 using tp::sim::TraceProgram;
 
-// Reference vectorize pass: the map-based implementation sim::vectorize
-// replaced, kept verbatim except that a group records its first member's
-// index. The oracle tests below require the dense in-place pass to
-// reproduce its traces and groups exactly.
+// Reference passes, kept verbatim from the implementations they were
+// replaced by, as oracles:
+//   * vectorize — the map-based pass, except that a group records its first
+//     member's index; the dense in-place pass must reproduce its traces and
+//     groups exactly;
+//   * run_pipeline and simulate — the separate pipeline and energy loops
+//     over a stored program, verbatim except that simulate names
+//     reference::run_pipeline; sim::CostModel, replayed or streamed, must
+//     reproduce their reports bit for bit. They size the scoreboard from
+//     value_count, so they need programs whose ids stay below it.
 namespace reference {
 
 using namespace tp;
@@ -225,6 +236,196 @@ private:
 
 void vectorize(TraceProgram& program) {
     Vectorizer{program}.run();
+}
+
+/// Result latency of a scalar instruction.
+int latency_of(const Instr& instr) noexcept {
+    switch (instr.kind) {
+    case InstrKind::IntAlu: return 1;
+    case InstrKind::Branch: return 1;
+    case InstrKind::Load: return 1; // single-cycle TCDM
+    case InstrKind::Store: return 1;
+    case InstrKind::FpArith: return fpu::latency_cycles(instr.op, instr.fmt);
+    case InstrKind::FpCast: return fpu::cast_latency_cycles();
+    }
+    return 1;
+}
+
+PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access) {
+    PipelineResult result;
+    std::vector<std::int64_t> ready(program.value_count, 0);
+    std::int64_t next_free_slot = 0; // first cycle the issue stage is free
+    std::int64_t fpu_busy_until = 0; // structural hazard for iterative ops
+
+    auto ready_of = [&](std::int32_t id) -> std::int64_t {
+        if (id < 0) return 0;
+        assert(static_cast<std::size_t>(id) < ready.size());
+        return ready[static_cast<std::size_t>(id)];
+    };
+
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        const Instr& instr = program.instrs[i];
+
+        if (instr.simd_group != 0) {
+            const SimdGroup& group = program.groups[instr.simd_group - 1];
+            if (group.last_index != i) continue; // issues with its last member
+            if (group.kind == InstrKind::Load || group.kind == InstrKind::Store) {
+                // Address generation for the single packed access.
+                next_free_slot += addr_ops_per_access;
+                result.issue_slots += static_cast<std::uint64_t>(addr_ops_per_access);
+            }
+            // Members are adjacent and never consume each other, so every
+            // source is read before any member's result is booked.
+            std::int64_t issue = next_free_slot;
+            for (std::size_t m = group.first_index; m <= i; ++m) {
+                const Instr& member = program.instrs[m];
+                issue = std::max(issue, ready_of(member.src1));
+                issue = std::max(issue, ready_of(member.src2));
+                issue = std::max(issue, ready_of(member.src3));
+            }
+            result.stall_cycles +=
+                static_cast<std::uint64_t>(issue - next_free_slot);
+            int lat = 1;
+            if (group.kind == InstrKind::FpArith) {
+                lat = fpu::latency_cycles(group.op, group.fmt);
+            }
+            for (std::size_t m = group.first_index; m <= i; ++m) {
+                const std::int32_t dst = program.instrs[m].dst;
+                if (dst >= 0) ready[static_cast<std::size_t>(dst)] = issue + lat;
+            }
+            next_free_slot = issue + 1;
+            ++result.issue_slots;
+            continue;
+        }
+
+        if (instr.kind == InstrKind::Load || instr.kind == InstrKind::Store) {
+            // Address generation precedes the access itself; these integer
+            // slots also help hide FP latencies of earlier instructions.
+            next_free_slot += addr_ops_per_access;
+            result.issue_slots += static_cast<std::uint64_t>(addr_ops_per_access);
+        }
+        std::int64_t issue = next_free_slot;
+        issue = std::max(issue, ready_of(instr.src1));
+        issue = std::max(issue, ready_of(instr.src2));
+        issue = std::max(issue, ready_of(instr.src3));
+        if (instr.kind == InstrKind::FpArith &&
+            !fpu::is_pipelined(instr.op, instr.fmt)) {
+            issue = std::max(issue, fpu_busy_until);
+        }
+        result.stall_cycles += static_cast<std::uint64_t>(issue - next_free_slot);
+
+        const int lat = latency_of(instr);
+        if (instr.dst >= 0) {
+            ready[static_cast<std::size_t>(instr.dst)] = issue + lat;
+        }
+        if (instr.kind == InstrKind::FpArith &&
+            !fpu::is_pipelined(instr.op, instr.fmt)) {
+            fpu_busy_until = issue + fpu::initiation_interval(instr.op, instr.fmt);
+        }
+
+        next_free_slot = issue + 1;
+        if (instr.kind == InstrKind::Branch) {
+            // Taken-branch bubble: the fetch stage loses one slot.
+            ++next_free_slot;
+            ++result.stall_cycles;
+        }
+        ++result.issue_slots;
+    }
+
+    // Drain: the last write-back defines total cycles.
+    std::int64_t end = next_free_slot;
+    for (std::int64_t r : ready) end = std::max(end, r);
+    result.cycles = static_cast<std::uint64_t>(end);
+    return result;
+}
+
+RunReport simulate(const TraceProgram& program,
+                   const fpu::EnergyModel& model = fpu::default_energy_model(),
+                   const CoreParams& core = CoreParams{}) {
+    RunReport report;
+
+    const PipelineResult timing =
+        reference::run_pipeline(program, core.addr_ops_per_access);
+    report.cycles = timing.cycles;
+    report.stall_cycles = timing.stall_cycles;
+    report.issue_slots = timing.issue_slots;
+
+    const auto addr_ops = static_cast<std::uint64_t>(core.addr_ops_per_access);
+    const double addr_energy = core.addr_ops_per_access * model.int_op;
+
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        const Instr& instr = program.instrs[i];
+
+        if (instr.simd_group != 0) {
+            const SimdGroup& group = program.groups[instr.simd_group - 1];
+            if (group.last_index != i) continue; // account once per group
+            switch (group.kind) {
+            case InstrKind::FpArith: {
+                ++report.fp_simd_instrs;
+                report.fp_simd_lane_ops += static_cast<std::uint64_t>(group.lanes);
+                auto& activity = report.per_format[group.fmt];
+                activity.vector_ops += static_cast<std::uint64_t>(group.lanes);
+                ++activity.vector_instrs;
+                report.energy.fp_ops +=
+                    model.fp_op_simd(group.op, group.fmt, group.lanes) +
+                    model.idle_slice *
+                        fpu::EnergyModel::idle_slices(group.fmt, group.lanes) +
+                    model.fpu_reg_move;
+                break;
+            }
+            case InstrKind::Load:
+            case InstrKind::Store: {
+                ++report.mem_accesses;
+                ++report.mem_accesses_vector;
+                report.mem_bytes += static_cast<std::uint64_t>(group.bytes);
+                report.energy.memory += model.mem_access(group.bytes);
+                report.addr_int_ops += addr_ops;
+                report.energy.other += addr_energy;
+                break;
+            }
+            default: break;
+            }
+            continue;
+        }
+
+        switch (instr.kind) {
+        case InstrKind::IntAlu:
+            ++report.int_ops;
+            report.energy.other += model.int_op;
+            break;
+        case InstrKind::Branch:
+            ++report.branches;
+            report.energy.other += model.branch_op;
+            break;
+        case InstrKind::Load:
+        case InstrKind::Store:
+            ++report.mem_accesses;
+            report.mem_bytes += instr.bytes;
+            report.energy.memory += model.mem_access(instr.bytes);
+            report.addr_int_ops += addr_ops;
+            report.energy.other += addr_energy;
+            break;
+        case InstrKind::FpArith: {
+            ++report.fp_ops;
+            auto& activity = report.per_format[instr.fmt];
+            ++activity.scalar_ops;
+            report.energy.fp_ops +=
+                model.fp_op(instr.op, instr.fmt) +
+                model.idle_slice * fpu::EnergyModel::idle_slices(instr.fmt, 1) +
+                model.fpu_reg_move;
+            break;
+        }
+        case InstrKind::FpCast:
+            ++report.casts;
+            report.cast_cycles +=
+                static_cast<std::uint64_t>(fpu::cast_latency_cycles());
+            report.energy.fp_ops += model.cast(instr.fmt, instr.fmt2);
+            break;
+        }
+    }
+
+    report.energy.other += model.stall_cycle * static_cast<double>(report.stall_cycles);
+    return report;
 }
 
 } // namespace reference
@@ -508,29 +709,67 @@ TEST(Vectorize, GroupsSpanRegionsSeparatedOnlyByIntegerWork) {
     EXPECT_EQ(program.groups[0].last_index, 5u);
 }
 
+/// The app cases of the oracle tests: every registered app plus
+/// pca-manual-vec, each under four uniform bindings and a mixed one.
+std::vector<std::pair<std::string, tp::apps::TypeConfig>> app_bindings(
+    const tp::apps::App& app) {
+    std::vector<std::pair<std::string, tp::apps::TypeConfig>> bindings;
+    for (const auto& [label, format] :
+         {std::pair{"binary8", tp::kBinary8}, std::pair{"binary16", tp::kBinary16},
+          std::pair{"binary16alt", tp::kBinary16Alt},
+          std::pair{"binary32", tp::kBinary32}}) {
+        bindings.emplace_back(label, app.uniform_config(format));
+    }
+    tp::apps::TypeConfig mixed = app.uniform_config(tp::kBinary16);
+    for (tp::apps::SignalId id = 1; id < mixed.size(); id += 2) {
+        mixed.set(id, tp::kBinary8);
+    }
+    bindings.emplace_back("odd signals binary8", mixed);
+    return bindings;
+}
+
+std::vector<std::string> oracle_app_names() {
+    std::vector<std::string> names = tp::apps::app_names();
+    names.emplace_back("pca-manual-vec");
+    return names;
+}
+
+/// Feeds `instrs` to a CostStream in random-length pieces: a third of them
+/// one instruction long, the rest up to 48, and a cut right after one
+/// vectorizable instruction in four, so that pieces often end while a
+/// group is open. Counts those cuts into `cuts_after_vectorizable`.
+RunReport stream_in_pieces(const Trace& instrs, bool simd, std::uint64_t seed,
+                           std::size_t& cuts_after_vectorizable) {
+    std::mt19937_64 rng{seed};
+    CostStream stream{simd};
+    std::size_t begin = 0;
+    while (begin < instrs.size()) {
+        std::size_t end =
+            begin + (rng() % 3 == 0 ? 1 : 1 + static_cast<std::size_t>(rng() % 48));
+        end = std::min(end, instrs.size());
+        for (std::size_t i = begin; i + 1 < end; ++i) {
+            if (instrs[i].vectorizable && rng() % 4 == 0) {
+                end = i + 1;
+                break;
+            }
+        }
+        if (instrs[end - 1].vectorizable) ++cuts_after_vectorizable;
+        stream.feed(std::span{instrs}.subspan(begin, end - begin));
+        begin = end;
+    }
+    return stream.finish();
+}
+
 TEST(Vectorize, MatchesReferenceOnApps) {
     // take_program(true) from one run against the reference pass over
     // take_program(false) from an identical second run. jacobi, pca and iir
-    // never enter a vector region, so this also covers the skip.
-    std::vector<std::string> names = tp::apps::app_names();
-    names.emplace_back("pca-manual-vec");
-    for (const std::string& name : names) {
+    // never enter a vector region, so this also covers the skip. Both
+    // programs, and the unvectorized one, replay to the reference loops'
+    // reports.
+    for (const std::string& name : oracle_app_names()) {
         const auto app = tp::apps::make_app(name);
         app->prepare(0);
-        std::vector<std::pair<std::string, tp::apps::TypeConfig>> bindings;
-        for (const auto& [label, format] :
-             {std::pair{"binary8", tp::kBinary8}, std::pair{"binary16", tp::kBinary16},
-              std::pair{"binary16alt", tp::kBinary16Alt},
-              std::pair{"binary32", tp::kBinary32}}) {
-            bindings.emplace_back(label, app->uniform_config(format));
-        }
-        tp::apps::TypeConfig mixed = app->uniform_config(tp::kBinary16);
-        for (tp::apps::SignalId id = 1; id < mixed.size(); id += 2) {
-            mixed.set(id, tp::kBinary8);
-        }
-        bindings.emplace_back("odd signals binary8", mixed);
-
-        for (const auto& [label, config] : bindings) {
+        for (const auto& [label, config] : app_bindings(*app)) {
             SCOPED_TRACE(name + " under " + label);
             TpContext simd_ctx;
             (void)app->run(simd_ctx, config);
@@ -538,11 +777,42 @@ TEST(Vectorize, MatchesReferenceOnApps) {
             TpContext scalar_ctx;
             (void)app->run(scalar_ctx, config);
             TraceProgram want = scalar_ctx.take_program(false);
+            const TraceProgram scalar = want;
             reference::vectorize(want);
             ASSERT_TRUE(same_program(got, want));
-            EXPECT_TRUE(tp::sim::simulate(got) == tp::sim::simulate(want));
+            EXPECT_TRUE(tp::sim::simulate(got) == reference::simulate(want));
+            EXPECT_TRUE(tp::sim::simulate(scalar) == reference::simulate(scalar));
         }
     }
+}
+
+TEST(Vectorize, StreamedMatchesReplayedOnApps) {
+    // The stored, unvectorized trace fed to a CostStream in pieces, and the
+    // same run priced in a cost-mode TpContext, against the replay of the
+    // stored program, vectorized when simd is on.
+    std::size_t cuts_after_vectorizable = 0;
+    std::uint64_t seed = 0;
+    for (const std::string& name : oracle_app_names()) {
+        const auto app = tp::apps::make_app(name);
+        app->prepare(0);
+        for (const auto& [label, config] : app_bindings(*app)) {
+            TpContext ctx;
+            (void)app->run(ctx, config);
+            const TraceProgram scalar = ctx.take_program(false);
+            for (const bool simd : {false, true}) {
+                SCOPED_TRACE(name + " under " + label + (simd ? ", simd" : ""));
+                TraceProgram program = scalar;
+                if (simd) tp::sim::vectorize(program);
+                const RunReport replayed = tp::sim::simulate(program);
+                EXPECT_TRUE(stream_in_pieces(scalar.instrs, simd, ++seed,
+                                             cuts_after_vectorizable) == replayed);
+                TpContext cost_ctx{TpContext::Costing{.simd = simd}};
+                (void)app->run(cost_ctx, config);
+                EXPECT_TRUE(cost_ctx.take_report() == replayed);
+            }
+        }
+    }
+    EXPECT_GT(cuts_after_vectorizable, 0u);
 }
 
 /// A synthetic trace in the shape the tracer records: loads and stores over
@@ -624,16 +894,63 @@ TEST(Vectorize, MatchesReferenceOnRandomTraces) {
         TraceProgram want = input;
         reference::vectorize(want);
         ASSERT_TRUE(same_program(got, want));
-        EXPECT_TRUE(tp::sim::simulate(got) == tp::sim::simulate(want));
+        const RunReport replayed = tp::sim::simulate(got);
+        EXPECT_TRUE(replayed == reference::simulate(want));
+        EXPECT_TRUE(tp::sim::simulate(input) == reference::simulate(input));
 
         // Ids beyond value_count (a hand-built program) grow the pending
-        // table instead of indexing past it.
+        // table and the scoreboard instead of indexing past them.
         TraceProgram undersized = input;
         undersized.value_count = 0;
+        EXPECT_TRUE(tp::sim::simulate(undersized) == tp::sim::simulate(input));
         tp::sim::vectorize(undersized);
+        EXPECT_TRUE(tp::sim::simulate(undersized) == replayed);
         undersized.value_count = want.value_count;
         ASSERT_TRUE(same_program(undersized, want));
     }
+}
+
+TEST(Vectorize, StreamedMatchesReplayedOnRandomTraces) {
+    std::size_t cuts_after_vectorizable = 0;
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const TraceProgram input = random_trace(seed);
+        TraceProgram vectorized = input;
+        tp::sim::vectorize(vectorized);
+        EXPECT_TRUE(stream_in_pieces(input.instrs, false, seed,
+                                     cuts_after_vectorizable) ==
+                    tp::sim::simulate(input));
+        EXPECT_TRUE(stream_in_pieces(input.instrs, true, seed,
+                                     cuts_after_vectorizable) ==
+                    tp::sim::simulate(vectorized));
+    }
+    EXPECT_GT(cuts_after_vectorizable, 0u);
+}
+
+TEST(Vectorize, CostModeContextStartsAFreshRunAfterEachReport) {
+    // More instructions than one cost buffer holds, with open groups
+    // across its boundaries; take_report() resets, so a second identical
+    // run prices the same.
+    const auto run = [](TpContext& ctx) {
+        auto arr = ctx.make_array(tp::kBinary8, 1000);
+        for (int rep = 0; rep < 3; ++rep) {
+            ctx.loop_iteration();
+            const auto region = ctx.vector_region();
+            for (std::size_t i = 0; i < arr.size(); ++i) {
+                const auto x = arr.load(i);
+                arr.store(i, x * x);
+            }
+        }
+    };
+    TpContext traced;
+    run(traced);
+    const RunReport want = tp::sim::simulate(traced.take_program(true));
+    TpContext cost{TpContext::Costing{.simd = true}};
+    run(cost);
+    EXPECT_TRUE(cost.take_report() == want);
+    run(cost);
+    EXPECT_TRUE(cost.take_report() == want);
+    EXPECT_GT(want.fp_simd_instrs, 0u);
 }
 
 } // namespace
