@@ -3,8 +3,8 @@
 namespace tp::sim {
 
 void TpContext::feed_cost() {
-    cost_->feed({cost_buffer_.get(), cost_size_});
-    cost_size_ = 0;
+    cost_->feed(trace_);
+    trace_.clear();
 }
 
 TraceProgram TpContext::take_program(bool apply_simd) {

@@ -164,8 +164,9 @@ public:
                "record_values keys value records by trace-assigned ids");
     }
     explicit TpContext(Costing costing)
-        : cost_(std::make_unique<CostStream>(costing.simd)),
-          cost_buffer_(std::make_unique<Instr[]>(kCostBuffer)) {}
+        : cost_(std::make_unique<CostStream>(costing.simd)) {
+        trace_.reserve(CostModel::kBatch);
+    }
     TpContext(const TpContext&) = delete;
     TpContext& operator=(const TpContext&) = delete;
 
@@ -254,29 +255,21 @@ private:
     friend class TpValue;
     friend class TpArray;
 
-    /// Instructions a cost-mode context buffers before pricing them: small
-    /// enough to stay in L1, large enough that the per-buffer checks vanish.
-    static constexpr std::size_t kCostBuffer = 256;
-
     std::int32_t next_id() noexcept {
         return static_cast<std::int32_t>(value_count_++);
     }
 
-    /// Emits one instruction: into the cost buffer in cost mode, which goes
-    /// to cost_ when full, else onto the stored trace.
+    /// Emits one instruction onto the trace. In cost mode the trace is only
+    /// a buffer, priced and emptied whenever it holds a batch.
     void push(const Instr& instr) {
         assert(config_.trace &&
                "an untraced TpContext only selects App::run's plain kernel");
-        if (cost_buffer_ != nullptr) {
-            cost_buffer_[cost_size_] = instr;
-            if (++cost_size_ == kCostBuffer) feed_cost();
-            return;
-        }
         any_vectorizable_ = any_vectorizable_ || instr.vectorizable;
         trace_.push_back(instr);
+        if (cost_ != nullptr && trace_.size() == CostModel::kBatch) feed_cost();
     }
 
-    /// Prices the buffered instructions and empties the buffer.
+    /// Cost mode: prices the buffered instructions and empties the buffer.
     void feed_cost();
 
     std::int32_t emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
@@ -355,12 +348,11 @@ private:
     }
 
     Config config_;
-    Trace trace_;
-    bool any_vectorizable_ = false; // trace_ holds a vectorizable instruction
+    Trace trace_; // the stored trace, or in cost mode the unpriced rest
+    // The stored trace holds a vectorizable instruction (take_program).
+    bool any_vectorizable_ = false;
     // Cost mode only; null otherwise, so an untraced context stays cheap.
     std::unique_ptr<CostStream> cost_;
-    std::unique_ptr<Instr[]> cost_buffer_;
-    std::size_t cost_size_ = 0; // instructions waiting in cost_buffer_
     std::size_t value_count_ = 0;
     std::uint32_t next_stream_ = 1;
     std::vector<ValueRecord> values_;

@@ -243,10 +243,6 @@ RunReport CostModel::finish() {
 
 RunReport simulate(const TraceProgram& program, const fpu::EnergyModel& model,
                    const CoreParams& core) {
-    // A scalar run goes to the model in batches of at most kBatch, so the
-    // model reads each batch while the scan that delimited it left it in
-    // cache.
-    constexpr std::size_t kBatch = 256;
     CostModel cost{model, core};
     const Instr* const instrs = program.instrs.data();
     const std::size_t size = program.instrs.size();
@@ -262,7 +258,9 @@ RunReport simulate(const TraceProgram& program, const fpu::EnergyModel& model,
             ++i;
             continue;
         }
-        const std::size_t limit = std::min(size, i + kBatch);
+        // A scalar run goes to the model in batches, so the model reads
+        // each batch while the scan that delimited it left it in cache.
+        const std::size_t limit = std::min(size, i + CostModel::kBatch);
         std::size_t end = i + 1;
         while (end < limit && instrs[end].simd_group == 0) ++end;
         cost.scalars(instrs + i, instrs + end);

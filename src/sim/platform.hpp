@@ -93,8 +93,14 @@ struct RunReport {
 /// ready at cycle 0.
 class CostModel {
 public:
-    explicit CostModel(const fpu::EnergyModel& model = fpu::default_energy_model(),
-                       const CoreParams& core = CoreParams{});
+    /// Instructions a caller hands scalars() at a time: small enough that
+    /// a batch stays in L1 between the caller's pass over it and the
+    /// model's, large enough that per-batch work vanishes. TpContext's cost
+    /// mode buffers this many before pricing them; simulate() replays
+    /// scalar runs in batches of at most this many.
+    static constexpr std::size_t kBatch = 256;
+
+    CostModel(const fpu::EnergyModel& model, const CoreParams& core);
 
     /// Issues [first, last) one instruction per slot; simd_group is not
     /// read.

@@ -325,9 +325,8 @@ public:
     using Vectorizer::Vectorizer;
 };
 
-CostStream::CostStream(bool simd, const fpu::EnergyModel& model,
-                       const CoreParams& core)
-    : model_(model, core),
+CostStream::CostStream(bool simd)
+    : model_(fpu::default_energy_model(), CoreParams{}),
       window_(simd ? std::make_unique<Window>(ToModel{&model_}, 0) : nullptr) {}
 
 CostStream::~CostStream() = default;

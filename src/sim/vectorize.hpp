@@ -55,9 +55,9 @@ void vectorize(TraceProgram& program);
 /// TpContext's cost mode feeds it one buffer at a time.
 class CostStream {
 public:
-    explicit CostStream(bool simd,
-                        const fpu::EnergyModel& model = fpu::default_energy_model(),
-                        const CoreParams& core = CoreParams{});
+    /// Prices on the default energy model and core parameters, as
+    /// simulate() does by default.
+    explicit CostStream(bool simd);
     ~CostStream();
     CostStream(const CostStream&) = delete;
     CostStream& operator=(const CostStream&) = delete;

@@ -45,6 +45,7 @@
 #include "analysis/derive_bounds.hpp"
 #include "analysis/range_analysis.hpp"
 #include "analysis/signal_flow.hpp"
+#include "app_bindings.hpp"
 #include "apps/app.hpp"
 #include "flexfloat/arith_backend.hpp"
 #include "flexfloat/stats.hpp"
@@ -187,24 +188,6 @@ struct CountedRun {
     stats.reset();
     if (trace) run.instrs = ctx.take_program(false).instrs.size();
     return run;
-}
-
-/// The bindings the kernel battery runs every app under: the four uniform
-/// formats and a mixed binding (binary16 with every odd signal binary8).
-[[nodiscard]] inline std::vector<std::pair<std::string, apps::TypeConfig>>
-conformance_bindings(const apps::App& app) {
-    std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
-        {"binary8", app.uniform_config(kBinary8)},
-        {"binary16", app.uniform_config(kBinary16)},
-        {"binary16alt", app.uniform_config(kBinary16Alt)},
-        {"binary32", app.uniform_config(kBinary32)},
-    };
-    apps::TypeConfig mixed = app.uniform_config(kBinary16);
-    for (apps::SignalId id = 1; id < mixed.size(); id += 2) {
-        mixed.set(id, kBinary8);
-    }
-    bindings.emplace_back("mixed", mixed);
-    return bindings;
 }
 
 // The kernel's two instantiations (apps/app.hpp KernelApp): traced on the

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "app_bindings.hpp"
 #include "apps/app.hpp"
 #include "fpu/latency_model.hpp"
 #include "sim/context.hpp"
@@ -709,25 +710,8 @@ TEST(Vectorize, GroupsSpanRegionsSeparatedOnlyByIntegerWork) {
     EXPECT_EQ(program.groups[0].last_index, 5u);
 }
 
-/// The app cases of the oracle tests: every registered app plus
-/// pca-manual-vec, each under four uniform bindings and a mixed one.
-std::vector<std::pair<std::string, tp::apps::TypeConfig>> app_bindings(
-    const tp::apps::App& app) {
-    std::vector<std::pair<std::string, tp::apps::TypeConfig>> bindings;
-    for (const auto& [label, format] :
-         {std::pair{"binary8", tp::kBinary8}, std::pair{"binary16", tp::kBinary16},
-          std::pair{"binary16alt", tp::kBinary16Alt},
-          std::pair{"binary32", tp::kBinary32}}) {
-        bindings.emplace_back(label, app.uniform_config(format));
-    }
-    tp::apps::TypeConfig mixed = app.uniform_config(tp::kBinary16);
-    for (tp::apps::SignalId id = 1; id < mixed.size(); id += 2) {
-        mixed.set(id, tp::kBinary8);
-    }
-    bindings.emplace_back("odd signals binary8", mixed);
-    return bindings;
-}
-
+/// The apps of the oracle tests: every registered app plus pca-manual-vec,
+/// each run under tp::testing::conformance_bindings.
 std::vector<std::string> oracle_app_names() {
     std::vector<std::string> names = tp::apps::app_names();
     names.emplace_back("pca-manual-vec");
@@ -769,7 +753,7 @@ TEST(Vectorize, MatchesReferenceOnApps) {
     for (const std::string& name : oracle_app_names()) {
         const auto app = tp::apps::make_app(name);
         app->prepare(0);
-        for (const auto& [label, config] : app_bindings(*app)) {
+        for (const auto& [label, config] : tp::testing::conformance_bindings(*app)) {
             SCOPED_TRACE(name + " under " + label);
             TpContext simd_ctx;
             (void)app->run(simd_ctx, config);
@@ -795,7 +779,7 @@ TEST(Vectorize, StreamedMatchesReplayedOnApps) {
     for (const std::string& name : oracle_app_names()) {
         const auto app = tp::apps::make_app(name);
         app->prepare(0);
-        for (const auto& [label, config] : app_bindings(*app)) {
+        for (const auto& [label, config] : tp::testing::conformance_bindings(*app)) {
             TpContext ctx;
             (void)app->run(ctx, config);
             const TraceProgram scalar = ctx.take_program(false);
