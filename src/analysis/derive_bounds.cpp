@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <set>
-#include <span>
 #include <sstream>
 #include <utility>
 
@@ -101,26 +99,21 @@ AppAnalysis analyze(apps::App& app, double epsilon,
     std::vector<int> best_model(S, kUnset);
     std::vector<double> worst_coeff(S, 0.0);
     std::vector<SignalObservation> merged_obs(S);
-    std::set<std::array<std::int32_t, 3>> cast_chains;
+    std::vector<std::array<std::int32_t, 3>> cast_chains;
     std::vector<CastSite> cast_sites;
-    bool first = true;
+    ShadowOptions shadow;
+    shadow.drift_steps.assign(S, std::ldexp(1.0, -kMaxPrecisionBits));
+    shadow.inflation = options.range_inflation;
+    shadow.lint = true;
 
     for (const unsigned set : options.input_sets) {
-        const CapturedTrace capture = capture_trace(app, set);
-        const SignalFlowGraph flow = build_signal_flow(capture.program, S);
-        const ErrorModel model = build_error_model(capture.program, flow);
+        ShadowRun run = shadow_run(app, set, shadow);
         const std::vector<double> golden = app.golden(set);
         const double den = l2_norm(golden);
 
         for (std::size_t s = 0; s < S; ++s) {
-            merge_observation(merged_obs[s], model.observed[s]);
-        }
-        {
-            std::vector<StaticRange> ranges = static_signal_ranges_at_uniform(
-                model, flow, kMaxPrecisionBits, options.range_inflation);
-            for (std::size_t s = 0; s < S; ++s) {
-                merge_range(result.ranges[s], ranges[s]);
-            }
+            merge_observation(merged_obs[s], run.observed[s]);
+            merge_range(result.ranges[s], run.ranges[s]);
         }
 
         // Map each tap to its golden output element. Every raw() read lands
@@ -130,29 +123,18 @@ AppAnalysis analyze(apps::App& app, double epsilon,
         // output — which the taps match bit-for-bit, being the very values
         // read — recovers each tap's output index.
         std::vector<std::vector<double>> tapped_golden(S);
-        std::vector<double> var_total(S, 0.0);
+        const std::vector<double>& var_total = run.tap_variance;
         std::size_t k = 0;
-        for (const sim::OutputTap& tap : capture.program.output_taps) {
+        for (const sim::OutputTap& tap : run.taps) {
             double g = tap.value;
-            while (k < capture.output.size() && capture.output[k] != tap.value) {
-                ++k;
-            }
-            if (k < capture.output.size() && k < golden.size()) {
+            while (k < run.output.size() && run.output[k] != tap.value) ++k;
+            if (k < run.output.size() && k < golden.size()) {
                 g = golden[k];
                 ++k;
             }
             const std::int32_t sig = signal_of_tag(tap.fmt, S);
             if (sig >= 0) {
                 tapped_golden[static_cast<std::size_t>(sig)].push_back(g);
-            }
-            if (tap.value_id >= 0) {
-                const std::span<const double> row = model.var_row(tap.value_id);
-                for (std::size_t s = 0; s < S; ++s) var_total[s] += row[s];
-            } else if (sig >= 0) {
-                // set_raw-only element: its only error is the storage
-                // quantization in the array's own signal format.
-                var_total[static_cast<std::size_t>(sig)] +=
-                    tap.value * tap.value / 3.0;
             }
         }
 
@@ -229,34 +211,15 @@ AppAnalysis analyze(apps::App& app, double epsilon,
             worst_coeff[s] = std::max(worst_coeff[s], coeff);
         }
 
-        if (first) {
-            result.flow = flow;
-            result.lint = lint_trace(capture.program);
-            cast_sites = collect_cast_sites(capture.program, S);
-            // Signal-level cast chains for the structural double-rounding
-            // hazard: value crosses three signals through back-to-back
-            // casts.
-            std::vector<std::pair<std::int32_t, std::int32_t>> cast_sigs(
-                capture.program.value_count, {-1, -1});
-            for (const sim::Instr& instr : capture.program.instrs) {
-                if (instr.kind != sim::InstrKind::FpCast ||
-                    instr.op == FpOp::FromInt || instr.op == FpOp::ToInt ||
-                    instr.dst < 0) {
-                    continue;
-                }
-                const std::int32_t sa = signal_of_tag(instr.fmt, S);
-                const std::int32_t si = signal_of_tag(instr.fmt2, S);
-                if (instr.src1 >= 0) {
-                    const auto [pa, pi] =
-                        cast_sigs[static_cast<std::size_t>(instr.src1)];
-                    if (pa >= 0 && pi >= 0 && si >= 0 && pa != pi &&
-                        pi != si) {
-                        cast_chains.insert({pa, pi, si});
-                    }
-                }
-                cast_sigs[static_cast<std::size_t>(instr.dst)] = {sa, si};
-            }
-            first = false;
+        // The lint, the cast sites and the signal-level cast chains (the
+        // structural double-rounding hazard: a value crosses three signals
+        // through back-to-back casts) come from the first input set.
+        if (shadow.lint) {
+            result.flow = std::move(run.flow);
+            result.lint = std::move(run.lint);
+            cast_sites = std::move(run.cast_sites);
+            cast_chains = std::move(run.cast_chains);
+            shadow.lint = false;
         }
     }
 

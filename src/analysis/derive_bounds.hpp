@@ -1,10 +1,11 @@
 // Entry points of the static precision-dataflow analysis: sound per-signal
 // precision bounds derived before any tuning trial runs.
 //
-// For each requested input set the analysis captures one binary64 shadow
-// reference execution (signal_flow.hpp), propagates first-order rounding
-// error through it (error_model.hpp), and inverts the model at the output
-// taps for the requested epsilon. Each signal's per-set bound combines
+// For each requested input set the analysis runs one binary64 shadow
+// reference execution and propagates first-order rounding error through it
+// while it executes (analysis::shadow_run, error_model.hpp; no trace is
+// stored), then inverts the model at the output taps for the requested
+// epsilon. Each signal's per-set bound combines
 //
 //   * a RIGOROUS representability floor — output elements stored in the
 //     signal's arrays can never be closer to the golden values than the
@@ -34,8 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/error_model.hpp"
 #include "analysis/lint.hpp"
-#include "analysis/range_analysis.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
 #include "tuning/search.hpp"
@@ -44,8 +45,8 @@
 namespace tp::analysis {
 
 struct DeriveOptions {
-    /// Input sets to capture; the bound is the minimum over them. Use the
-    /// sets the search will run on (SearchOptions::input_sets).
+    /// Input sets to run shadow runs on; the bound is the minimum over
+    /// them. Use the sets the search will run on (SearchOptions::input_sets).
     std::vector<unsigned> input_sets{0, 1, 2};
     /// Type system whose trial formats the representability floors are
     /// computed against; match the search's.
@@ -53,7 +54,7 @@ struct DeriveOptions {
     /// Bits subtracted from the model bound (never from the rigorous
     /// floor) to absorb the first-order propagation's estimation error.
     int margin_bits = 2;
-    /// Range-enclosure inflation (see static_signal_ranges).
+    /// Range-enclosure inflation (ShadowOptions::inflation).
     double range_inflation = 4.0;
 };
 
@@ -78,9 +79,9 @@ struct AppAnalysis {
     std::string app;
     double epsilon = 0.0;
     std::vector<SignalBound> signals; // SignalId order
-    /// Signal DAG of the first captured input set.
+    /// Signal DAG of the first input set's shadow run.
     SignalFlowGraph flow;
-    /// Static range enclosures, hulled over the captured input sets.
+    /// Static range enclosures, hulled over the input sets.
     std::vector<StaticRange> ranges;
     /// Instruction-level + signal-level diagnostics.
     LintReport lint;
@@ -89,9 +90,11 @@ struct AppAnalysis {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// The full three-pass analysis. Costs |input_sets| shadow executions
-/// plus |input_sets| rounded calibration probes and no tuning trials;
-/// `app`'s prepared workload is clobbered.
+/// The full three-pass analysis. Costs |input_sets| streamed shadow
+/// executions plus |input_sets| rounded calibration probes and no tuning
+/// trials; `app`'s prepared workload is clobbered. Only the analysis state
+/// of one shadow run is held at a time (for jacobi about 21 MB of per-id
+/// error rows, values, tags and chain depths, freed before the next set).
 [[nodiscard]] AppAnalysis analyze(apps::App& app, double epsilon,
                                   const DeriveOptions& options = {});
 

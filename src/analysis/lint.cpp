@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <sstream>
-#include <utility>
 
 #include "analysis/signal_flow.hpp"
 
@@ -69,86 +67,120 @@ bool is_value_cast(const sim::Instr& instr) noexcept {
 
 } // namespace
 
-LintReport lint_trace(const sim::TraceProgram& program) {
-    LintReport report;
-    // One diagnostic per distinct format pattern, with an occurrence count
-    // — the same cast site re-executes every loop iteration.
-    struct Folded {
-        std::size_t diagnostic = 0;
-        std::size_t occurrences = 0;
-    };
-    std::map<std::array<FpFormat, 3>, Folded> folded;
-    const auto fold = [&](LintKind kind, std::int64_t index,
-                          std::array<FpFormat, 3> key, std::string message) {
-        auto [it, inserted] = folded.try_emplace(key);
-        if (inserted) {
-            it->second.diagnostic = report.diagnostics.size();
-            report.diagnostics.push_back(
-                LintDiagnostic{kind, index, -1, std::move(message)});
-        }
-        ++it->second.occurrences;
-    };
+CastLint::CastLint(std::size_t signal_count)
+    : signal_count_(signal_count),
+      sites_((signal_count + 1) * (signal_count + 1)) {}
 
-    // Target format of each cast-produced value id, for chain detection.
-    std::map<std::int32_t, std::pair<FpFormat, FpFormat>> cast_of;
+std::int32_t CastLint::signal(FpFormat fmt) const noexcept {
+    return signal_of_tag(fmt, signal_count_);
+}
 
-    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
-        const sim::Instr& instr = program.instrs[i];
-        if (!is_value_cast(instr)) continue;
-        const std::int64_t index = static_cast<std::int64_t>(i);
-        if (instr.fmt == instr.fmt2) {
-            fold(LintKind::RedundantCast, index,
-                 {instr.fmt, instr.fmt2, kNoFormat},
-                 "cast converts " + format_name(instr.fmt) +
-                     " to itself — drop it");
-        }
-        const auto prev = cast_of.find(instr.src1);
-        if (prev != cast_of.end()) {
-            const FpFormat a = prev->second.first;
-            const FpFormat i_fmt = prev->second.second;
-            const FpFormat f = instr.fmt2;
-            if (double_rounds(a, i_fmt, f)) {
-                fold(LintKind::DoubleRounding, index, {a, i_fmt, f},
-                     "cast chain " + format_name(a) + " -> " +
-                         format_name(i_fmt) + " -> " + format_name(f) +
-                         " double-rounds (intermediate precision " +
-                         std::to_string(i_fmt.precision()) + " < 2*" +
-                         std::to_string(f.precision()) +
-                         "+2); cast directly from the wide value");
-            }
-        }
-        if (instr.dst >= 0) cast_of[instr.dst] = {instr.fmt, instr.fmt2};
+template <class MakeMessage>
+void CastLint::fold(LintKind kind, std::size_t index,
+                    const std::array<FpFormat, 3>& key,
+                    MakeMessage make_message) {
+    const auto [it, inserted] = fold_index_.try_emplace(key, folded_.size());
+    if (inserted) {
+        folded_.push_back(Folded{LintDiagnostic{kind,
+                                                static_cast<std::int64_t>(index),
+                                                -1, make_message()},
+                                 0});
     }
+    ++folded_[it->second].occurrences;
+}
 
-    for (const auto& [key, entry] : folded) {
+void CastLint::add(const sim::Instr& instr, std::size_t index) {
+    if (!format_boundary_cast(instr)) return;
+    const std::int32_t src = signal(instr.fmt);
+    const std::int32_t dst = signal(instr.fmt2);
+    CastSite& site = sites_[static_cast<std::size_t>(src + 1) *
+                                (signal_count_ + 1) +
+                            static_cast<std::size_t>(dst + 1)];
+    if (site.occurrences++ == 0) site = CastSite{src, dst, index, 1};
+    if (!is_value_cast(instr)) return;
+
+    if (instr.fmt == instr.fmt2) {
+        fold(LintKind::RedundantCast, index, {instr.fmt, instr.fmt2, kNoFormat},
+             [&] {
+                 return "cast converts " + format_name(instr.fmt) +
+                        " to itself — drop it";
+             });
+    }
+    if (instr.src1 >= 0 &&
+        static_cast<std::size_t>(instr.src1) < cast_of_.capacity() &&
+        cast_of_[static_cast<std::size_t>(instr.src1)].to.valid()) {
+        const CastOf prev = cast_of_[static_cast<std::size_t>(instr.src1)];
+        const FpFormat a = prev.from;
+        const FpFormat i_fmt = prev.to;
+        const FpFormat f = instr.fmt2;
+        if (double_rounds(a, i_fmt, f)) {
+            fold(LintKind::DoubleRounding, index, {a, i_fmt, f}, [&] {
+                return "cast chain " + format_name(a) + " -> " +
+                       format_name(i_fmt) + " -> " + format_name(f) +
+                       " double-rounds (intermediate precision " +
+                       std::to_string(i_fmt.precision()) + " < 2*" +
+                       std::to_string(f.precision()) +
+                       "+2); cast directly from the wide value";
+            });
+        }
+        const std::int32_t pa = signal(a);
+        const std::int32_t pi = signal(i_fmt);
+        if (instr.dst >= 0 && pa >= 0 && pi >= 0 && dst >= 0 && pa != pi &&
+            pi != dst) {
+            chains_.insert({pa, pi, dst});
+        }
+    }
+    if (instr.dst >= 0) {
+        const auto id = static_cast<std::size_t>(instr.dst);
+        cast_of_.grow_to(id + 1);
+        cast_of_[id] = CastOf{instr.fmt, instr.fmt2};
+    }
+}
+
+LintReport CastLint::report() const {
+    LintReport report;
+    report.diagnostics.reserve(folded_.size());
+    for (const Folded& entry : folded_) {
+        report.diagnostics.push_back(entry.diagnostic);
         if (entry.occurrences > 1) {
-            report.diagnostics[entry.diagnostic].message +=
+            report.diagnostics.back().message +=
                 " [" + std::to_string(entry.occurrences) + " occurrences]";
         }
     }
     return report;
 }
 
-std::vector<CastSite> collect_cast_sites(const sim::TraceProgram& program,
-                                         std::size_t signal_count) {
-    std::map<std::pair<std::int32_t, std::int32_t>, CastSite> sites;
-    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
-        const sim::Instr& instr = program.instrs[i];
-        if (!format_boundary_cast(instr)) continue;
-        const std::int32_t src = signal_of_tag(instr.fmt, signal_count);
-        const std::int32_t dst = signal_of_tag(instr.fmt2, signal_count);
-        const auto [it, inserted] =
-            sites.try_emplace({src, dst}, CastSite{src, dst, i, 0});
-        ++it->second.occurrences;
-    }
+std::vector<CastSite> CastLint::cast_sites() const {
     std::vector<CastSite> result;
-    result.reserve(sites.size());
-    for (const auto& [key, site] : sites) result.push_back(site);
+    for (const CastSite& site : sites_) {
+        if (site.occurrences > 0) result.push_back(site);
+    }
     std::sort(result.begin(), result.end(),
               [](const CastSite& a, const CastSite& b) {
                   return a.first_instr < b.first_instr;
               });
     return result;
+}
+
+std::vector<std::array<std::int32_t, 3>> CastLint::cast_chains() const {
+    return {chains_.begin(), chains_.end()};
+}
+
+LintReport lint_trace(const sim::TraceProgram& program) {
+    CastLint lint{0};
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        lint.add(program.instrs[i], i);
+    }
+    return lint.report();
+}
+
+std::vector<CastSite> collect_cast_sites(const sim::TraceProgram& program,
+                                         std::size_t signal_count) {
+    CastLint lint{signal_count};
+    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+        lint.add(program.instrs[i], i);
+    }
+    return lint.cast_sites();
 }
 
 } // namespace tp::analysis

@@ -19,7 +19,7 @@
 //
 // KernelApp<Derived> instantiates that kernel twice and App::run picks one
 // per call: on sim::TpContext for the traced runs — the one the virtual
-// platform measures, and the static analysis' shadow capture — and on
+// platform measures, and the static analysis' shadow run — and on
 // sim::PlainContext, nothing recorded, for the binary64 golden reference,
 // every precision-tuning trial and the final mixed-format build. Both
 // compute on FlexFloatDyn values rounded by tp::arith alone, so they give

@@ -46,7 +46,7 @@
 // ScopedBinary64 — current thread, until the scope ends — resolves EVERY
 // format to the binary64 native backend, so arith, fma and cast return the
 // plain binary64 result without re-rounding it to the operand format. It is
-// the static analysis' shadow run (analysis::capture_trace): formats stay
+// the static analysis' shadow run (analysis::shadow_run): formats stay
 // attached to values as pure dataflow tags while control flow follows the
 // binary64 reference. It wins over both emulation overrides.
 #pragma once

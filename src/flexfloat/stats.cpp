@@ -3,9 +3,6 @@
 #include <ostream>
 
 namespace tp {
-namespace {
-thread_local int g_vector_region_depth = 0;
-} // namespace
 
 std::string_view name_of(FpOp op) noexcept {
     switch (op) {
@@ -24,10 +21,10 @@ std::string_view name_of(FpOp op) noexcept {
     return "unknown";
 }
 
-bool in_vector_region() noexcept { return g_vector_region_depth > 0; }
-
-VectorRegionGuard::VectorRegionGuard() noexcept { ++g_vector_region_depth; }
-VectorRegionGuard::~VectorRegionGuard() { --g_vector_region_depth; }
+VectorRegionGuard::VectorRegionGuard() noexcept {
+    ++detail::t_vector_region_depth;
+}
+VectorRegionGuard::~VectorRegionGuard() { --detail::t_vector_region_depth; }
 
 std::uint64_t OpCounts::arithmetic_scalar() const noexcept {
     std::uint64_t total = 0;

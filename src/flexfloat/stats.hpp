@@ -36,16 +36,21 @@ inline constexpr std::size_t kFpOpCount = 11;
 
 [[nodiscard]] std::string_view name_of(FpOp op) noexcept;
 
-/// True while at least one VectorRegionGuard is alive on this thread.
-[[nodiscard]] bool in_vector_region() noexcept;
-
 namespace detail {
 /// Mirror of thread_stats().enabled(), maintained by
 /// StatsRegistry::set_enabled. Constant-initialized, so the hot-path check
 /// below compiles to one TLS load and a branch — no function call, no TLS
 /// init guard on the per-operation fast path.
 inline thread_local bool t_stats_enabled = false;
+/// Live VectorRegionGuards on this thread; constant-initialized like
+/// t_stats_enabled, so every traced instruction reads it inline.
+inline thread_local int t_vector_region_depth = 0;
 } // namespace detail
+
+/// True while at least one VectorRegionGuard is alive on this thread.
+[[nodiscard]] inline bool in_vector_region() noexcept {
+    return detail::t_vector_region_depth > 0;
+}
 
 /// Whether the calling thread's registry is currently collecting — THE
 /// per-operation hot-path check. Exactly equivalent to

@@ -8,18 +8,20 @@
 //     SSA id) and TpArray storage. Each arithmetic operation and cast
 //     computes through the matching FlexFloatDyn op and then emits its
 //     instruction, as does every load and store. A TpContext always traces,
-//     in one of two modes: it stores the trace for take_program(), or, in
+//     in one of three modes: it stores the trace for take_program(); or, in
 //     cost mode (Costing), prices each instruction on the virtual platform
-//     as it is emitted, a small buffer at a time, and stores nothing;
-//     take_report() returns the priced run.
+//     as it is emitted, a small buffer at a time, and stores nothing
+//     (take_report() returns the priced run); or, in sink mode (Sinking),
+//     hands each buffer to a TraceSink (sim/trace.hpp) together with the
+//     value every id took and every raw() readout, and stores nothing.
 //   * on sim::PlainContext (sim/plain_context.hpp) — plain FlexFloatDyn
 //     values that only compute: the fast re-runnable binary the
 //     precision-tuning loop needs.
 //
 // Rounding lives in tp::arith alone, so the backend overrides reach both
 // instantiations; under arith::ScopedBinary64 (the static analysis' shadow
-// run, analysis::capture_trace) every value stays unrounded binary64 and
-// the recorded formats are pure dataflow tags.
+// run, analysis::shadow_run) every value stays unrounded binary64 and the
+// value formats a sink receives are pure dataflow tags.
 //
 // apps::App::run picks the instantiation from Config::trace, so callers
 // select untraced execution by passing an untraced TpContext to App::run;
@@ -30,6 +32,11 @@
 // final mixed-format configuration — exactly the property FlexFloat's
 // template class gives the paper's programs, transplanted to runtime
 // formats. The emit path is inline: it runs once per traced instruction.
+// Its shape matters beyond the traced kernels: both instantiations of a
+// kernel compile in one translation unit, and growing this inline path has
+// moved GCC's inlining of the plain one. After changing it, compare the
+// plain kernels' out-of-line calls (objdump -dr of each app's object)
+// against the parent's.
 #pragma once
 
 #include <cassert>
@@ -111,10 +118,10 @@ public:
         assert(i < data_.size());
         data_[i] = arith::cast(value, format_);
     }
-    /// Readout without instruction emission. Under a record_values capture
-    /// each read is additionally recorded as an output tap (the element's
-    /// last-stored value id, format and value) — the anchor points the
-    /// static analysis inverts its error model at. Defined after TpContext.
+    /// Readout without instruction emission. In sink mode each read is also
+    /// handed to the sink as an output tap (the element's last-stored value
+    /// id, format and value) — the anchor points the static analysis
+    /// inverts its error model at. Defined after TpContext.
     [[nodiscard]] double raw(std::size_t i) const;
 
     /// Simulated load: one data memory access of storage_bytes() width.
@@ -132,7 +139,7 @@ private:
     FpFormat format_;
     std::vector<double> data_;
     /// Last value id stored per element (-1 for set_raw-only elements);
-    /// allocated only under record_values captures, else empty.
+    /// allocated only in sink mode, else empty.
     std::vector<std::int32_t> writers_;
 };
 
@@ -143,12 +150,6 @@ public:
         /// instantiation instead of tracing on this context (fast tuning
         /// runs). The context itself always traces.
         bool trace = true;
-        /// Record the concrete value (and creation format) of every SSA id
-        /// into TraceProgram::values, and every TpArray::raw() readout into
-        /// TraceProgram::output_taps. Requires trace — the records are
-        /// keyed by the ids the trace assigns. Static-analysis captures
-        /// (src/analysis/) are the only intended user.
-        bool record_values = false;
     };
 
     /// Cost mode: a traced context that prices its run while the kernel
@@ -158,13 +159,23 @@ public:
         bool simd = false;
     };
 
+    /// Sink mode: a traced context that hands its run to `sink` while the
+    /// kernel emits it — instructions, value records and raw() readouts, a
+    /// buffer at a time — and stores no trace. Call flush() once the kernel
+    /// returns. The static analysis' shadow runs are its user.
+    struct Sinking {
+        TraceSink* sink = nullptr;
+    };
+
     TpContext() : TpContext(Config{}) {}
-    explicit TpContext(Config config) : config_(config) {
-        assert((!config_.record_values || config_.trace) &&
-               "record_values keys value records by trace-assigned ids");
-    }
+    explicit TpContext(Config config) : config_(config) {}
     explicit TpContext(Costing costing)
-        : cost_(std::make_unique<CostStream>(costing.simd)) {
+        : cost_(std::make_unique<CostStream>(costing.simd)), sink_(cost_.get()) {
+        trace_.reserve(CostModel::kBatch);
+    }
+    explicit TpContext(Sinking sinking)
+        : sink_(sinking.sink), sink_mode_(true) {
+        assert(sink_ != nullptr && "sink mode needs a sink");
         trace_.reserve(CostModel::kBatch);
     }
     TpContext(const TpContext&) = delete;
@@ -176,12 +187,12 @@ public:
 
     /// A register-resident constant: no instruction is emitted (the value
     /// is materialized once outside the measured kernel, like FP literals
-    /// kept in registers by the compiler), but the id IS recorded under
-    /// record_values — constants are the leaves of the dataflow graph.
+    /// kept in registers by the compiler), but its id's record still
+    /// reaches a sink — constants are the leaves of the dataflow graph.
     [[nodiscard]] TpValue constant(double value, FpFormat format) {
         const FlexFloatDyn ff{value, format};
         const std::int32_t id = next_id();
-        record_value(id, ff.value(), format);
+        record_value(ff.value(), format);
         return TpValue{this, ff, id};
     }
 
@@ -198,7 +209,7 @@ public:
         push(instr);
         if (stats_enabled()) thread_stats().record_op(format, FpOp::FromInt);
         const FlexFloatDyn result{static_cast<double>(value), format};
-        record_value(instr.dst, result.value(), format);
+        record_value(result.value(), format);
         return TpValue{this, result, instr.dst};
     }
 
@@ -235,21 +246,22 @@ public:
     [[nodiscard]] VectorRegionGuard vector_region() { return VectorRegionGuard{}; }
 
     [[nodiscard]] bool tracing() const noexcept { return config_.trace; }
-    [[nodiscard]] bool recording() const noexcept {
-        return config_.record_values;
-    }
 
     /// Hands the recorded trace out (and resets the context's trace state).
     /// `apply_simd` runs the vectorization pass, modelling the SIMD-enabled
     /// toolchain; pass false for the scalar baseline. A trace that never
     /// entered a vector region has nothing to pack, and skips the pass.
-    /// Not available in cost mode, which stores no trace.
+    /// Not available in cost or sink mode, which store no trace.
     [[nodiscard]] TraceProgram take_program(bool apply_simd);
 
     /// Cost mode only: prices the instructions still buffered and hands the
     /// run's report out — the report simulate(take_program(simd)) gives for
     /// the same run traced, bit for bit — then starts a new run.
     [[nodiscard]] RunReport take_report();
+
+    /// Sink mode only: hands the buffered instructions, value records and
+    /// readouts to the sink.
+    void flush();
 
 private:
     friend class TpValue;
@@ -259,18 +271,21 @@ private:
         return static_cast<std::int32_t>(value_count_++);
     }
 
-    /// Emits one instruction onto the trace. In cost mode the trace is only
-    /// a buffer, priced and emptied whenever it holds a batch.
+    /// Emits one instruction onto the trace. In cost and sink mode the
+    /// trace is only a buffer, handed on and emptied when a batch is full.
+    /// That happens before the next instruction goes in, not right after
+    /// the last one: by then the value record of every id assigned so far
+    /// is buffered too.
     void push(const Instr& instr) {
         assert(config_.trace &&
                "an untraced TpContext only selects App::run's plain kernel");
         any_vectorizable_ = any_vectorizable_ || instr.vectorizable;
+        if (trace_.size() == CostModel::kBatch && sink_ != nullptr) hand_on();
         trace_.push_back(instr);
-        if (cost_ != nullptr && trace_.size() == CostModel::kBatch) feed_cost();
     }
 
-    /// Cost mode: prices the buffered instructions and empties the buffer.
-    void feed_cost();
+    /// Cost or sink mode: hands the buffer on and empties it.
+    void hand_on();
 
     std::int32_t emit_fp(FpOp op, FpFormat fmt, std::int32_t src1,
                          std::int32_t src2, std::int32_t src3 = -1) {
@@ -333,30 +348,29 @@ private:
         push(instr);
     }
 
-    /// Books the concrete value an id took (record_values captures only).
-    /// Ids are dense and assigned in creation order, so the records vector
-    /// stays aligned with them by construction.
-    void record_value(std::int32_t id, double value, FpFormat fmt) {
-        if (!config_.record_values || id < 0) return;
-        assert(static_cast<std::size_t>(id) == values_.size() &&
-               "value records must track id assignment 1:1");
-        values_.push_back(ValueRecord{value, fmt});
-    }
-
-    void note_output_tap(FpFormat fmt, std::int32_t value_id, double value) {
-        taps_.push_back(OutputTap{value, fmt, value_id});
+    /// Sink mode: buffers the record of the id just assigned. Ids are dense
+    /// and assigned in creation order, so the buffer holds the ids assigned
+    /// since the last hand-on, in order.
+    void record_value(double value, FpFormat fmt) {
+        if (sink_mode_) values_.push_back(ValueRecord{value, fmt});
     }
 
     Config config_;
-    Trace trace_; // the stored trace, or in cost mode the unpriced rest
+    Trace trace_; // the stored trace, or in cost/sink mode the rest
     // The stored trace holds a vectorizable instruction (take_program).
     bool any_vectorizable_ = false;
     // Cost mode only; null otherwise, so an untraced context stays cheap.
     std::unique_ptr<CostStream> cost_;
-    std::size_t value_count_ = 0;
-    std::uint32_t next_stream_ = 1;
+    // Where a full buffer goes: cost_ in cost mode, the caller's sink in
+    // sink mode; null while the trace is stored.
+    TraceSink* sink_ = nullptr;
+    // Sink mode: value records and raw() readouts go to the sink too, in
+    // these buffers until handed on.
+    bool sink_mode_ = false;
     std::vector<ValueRecord> values_;
     std::vector<OutputTap> taps_;
+    std::size_t value_count_ = 0;
+    std::uint32_t next_stream_ = 1;
 };
 
 // --- TpValue ---------------------------------------------------------------
@@ -370,7 +384,7 @@ inline TpValue TpValue::emit(FpOp op, FlexFloatDyn result, const TpValue& a,
            (c.ctx_ == nullptr || c.ctx_ == ctx) &&
            "operands belong to different contexts");
     const std::int32_t id = ctx->emit_fp(op, result.format(), a.id_, b.id_, c.id_);
-    ctx->record_value(id, result.value(), result.format());
+    ctx->record_value(result.value(), result.format());
     return TpValue{ctx, result, id};
 }
 
@@ -423,7 +437,7 @@ inline TpValue TpValue::cast_to(FpFormat target) const {
     assert(ctx_ != nullptr);
     const FlexFloatDyn result = value_.cast_to(target);
     const std::int32_t id = ctx_->emit_cast(format(), target, id_);
-    ctx_->record_value(id, result.value(), target);
+    ctx_->record_value(result.value(), target);
     return TpValue{ctx_, result, id};
 }
 
@@ -432,14 +446,14 @@ inline TpValue TpValue::cast_to(FpFormat target) const {
 inline TpArray::TpArray(TpContext* ctx, std::uint32_t stream, FpFormat format,
                         std::size_t n)
     : ctx_(ctx), stream_(stream), format_(format), data_(n, 0.0) {
-    if (ctx_->recording()) writers_.assign(n, -1);
+    if (ctx_->sink_mode_) writers_.assign(n, -1);
 }
 
 inline double TpArray::raw(std::size_t i) const {
     assert(i < data_.size());
-    if (ctx_->recording()) {
-        ctx_->note_output_tap(format_, writers_.empty() ? -1 : writers_[i],
-                              data_[i]);
+    if (ctx_->sink_mode_) {
+        ctx_->taps_.push_back(
+            OutputTap{data_[i], format_, writers_.empty() ? -1 : writers_[i]});
     }
     return data_[i];
 }
@@ -447,7 +461,7 @@ inline double TpArray::raw(std::size_t i) const {
 inline TpValue TpArray::load(std::size_t i) {
     assert(i < data_.size());
     const std::int32_t id = ctx_->emit_load(stream_, format_);
-    ctx_->record_value(id, data_[i], format_);
+    ctx_->record_value(data_[i], format_);
     // Backing-store values are already rounded to the element format
     // (set_raw / store), so the load skips the construction-time re-round.
     return TpValue{ctx_, FlexFloatDyn::from_rounded(data_[i], format_), id};

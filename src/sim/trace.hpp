@@ -7,10 +7,13 @@
 // pipeline model with true data dependencies (sim/pipeline.hpp) that
 // integrates energy as it goes (sim/platform.hpp). The stream is priced as
 // it is emitted (sim::CostStream) or stored as a TraceProgram and replayed
-// (sim::simulate); both give the same report.
+// (sim::simulate); both give the same report. A third consumer, a
+// TraceSink, receives the stream together with the value every id takes
+// (the static analysis' shadow run).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -78,36 +81,49 @@ struct SimdGroup {
     FpFormat fmt{8, 23};
 };
 
-/// The concrete value an SSA id took in a recorded execution, plus the
-/// format it was created in. Filled only under
-/// TpContext::Config::record_values (static-analysis captures); ids are
-/// dense, so records are indexed directly by value id.
+/// The concrete value an SSA id took in a traced execution, plus the
+/// format it was created in. A sink-mode context (TraceSink) hands one out
+/// per id, in id order.
 struct ValueRecord {
     double value = 0.0;
     FpFormat fmt = kNoFormat;
 };
 
-/// One program-output element observed through TpArray::raw() in a
-/// recorded execution: the producing value id (-1 when the element was
-/// written by set_raw only and never stored), the element format of the
-/// array it was read from, and the value itself. The static analysis
-/// inverts its per-value error model at exactly these taps.
+/// One program-output element read through TpArray::raw() in a sink-mode
+/// run: the producing value id (-1 when the element was written by set_raw
+/// only and never stored), the element format of the array it was read
+/// from, and the value itself. The static analysis inverts its per-value
+/// error model at exactly these taps.
 struct OutputTap {
     double value = 0.0;
     FpFormat fmt = kNoFormat;
     std::int32_t value_id = -1;
 };
 
-/// A complete traced execution: the instruction stream, the SIMD groups
-/// annotated by vectorize(), and the number of value ids in use. `values`
-/// and `output_taps` are populated only by record_values captures
-/// (sim/context.hpp) — empty for ordinary traces.
+/// Receives a traced run while the kernel executes it (TpContext's sink
+/// mode), which stores no trace: every instruction in emission order, the
+/// record of every value id, and every raw() readout. The static
+/// analysis' shadow run folds its passes in one (analysis/error_model.hpp).
+class TraceSink {
+public:
+    virtual ~TraceSink() = default;
+
+    /// The run's next stretch: its instructions; the records of the ids
+    /// assigned in it, in id order — those `instrs` define, and constants,
+    /// which emit no instruction; and its raw() readouts, in call order.
+    /// Ids are dense from 0; every id an instruction reads, and every id a
+    /// readout names, arrives in this call or before.
+    virtual void feed(std::span<const Instr> instrs,
+                      std::span<const ValueRecord> values,
+                      std::span<const OutputTap> taps) = 0;
+};
+
+/// A complete stored execution: the instruction stream, the SIMD groups
+/// annotated by vectorize(), and the number of value ids in use.
 struct TraceProgram {
     Trace instrs;
     std::vector<SimdGroup> groups;
     std::size_t value_count = 0;
-    std::vector<ValueRecord> values;
-    std::vector<OutputTap> output_taps;
 };
 
 } // namespace tp::sim

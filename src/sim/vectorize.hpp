@@ -52,13 +52,13 @@ void vectorize(TraceProgram& program);
 ///
 /// A piece with no vectorizable instruction, fed while no group is open,
 /// goes straight to the model: the window would pass it through unchanged.
-/// TpContext's cost mode feeds it one buffer at a time.
-class CostStream {
+/// TpContext's cost mode feeds it one buffer at a time, as its TraceSink.
+class CostStream final : public TraceSink {
 public:
     /// Prices on the default energy model and core parameters, as
     /// simulate() does by default.
     explicit CostStream(bool simd);
-    ~CostStream();
+    ~CostStream() override;
     CostStream(const CostStream&) = delete;
     CostStream& operator=(const CostStream&) = delete;
 
@@ -66,6 +66,12 @@ public:
 
     /// Prices the next instructions of the run.
     void feed(std::span<const Instr> instrs);
+    /// TraceSink: prices `instrs`; value records and readouts cost nothing.
+    void feed(std::span<const Instr> instrs,
+              std::span<const ValueRecord> /*values*/,
+              std::span<const OutputTap> /*taps*/) override {
+        feed(instrs);
+    }
 
     /// Closes the open groups and returns the run's report. Call once.
     [[nodiscard]] RunReport finish();

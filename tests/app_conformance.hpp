@@ -43,12 +43,13 @@
 #include <gtest/gtest.h>
 
 #include "analysis/derive_bounds.hpp"
-#include "analysis/range_analysis.hpp"
+#include "analysis/error_model.hpp"
 #include "analysis/signal_flow.hpp"
 #include "app_bindings.hpp"
 #include "apps/app.hpp"
 #include "flexfloat/arith_backend.hpp"
 #include "flexfloat/stats.hpp"
+#include "shadow_recorder.hpp"
 #include "sim/platform.hpp"
 #include "tuning/cast_aware.hpp"
 #include "tuning/eval_engine.hpp"
@@ -463,7 +464,7 @@ TEST_P(AppConformanceTest, WarmChainedSweepIsMonotoneFrugalAndFeasible) {
 // The soundness contract of src/analysis/ (derive_bounds.hpp), checked
 // dynamically on every app:
 //
-//   (a) enclosure — every value a genuinely rounded execution records
+//   (a) enclosure — every value a genuinely rounded execution defines
 //       sits inside the static range of its producing signal, with the
 //       ranges evaluated at that execution's per-signal rounding steps;
 //   (b) bound validity — the tuned per-signal minimum the full search
@@ -478,46 +479,31 @@ TEST_P(AppConformanceTest, StaticAnalysisBoundsAreSound) {
     const std::size_t S = app->signals().size();
 
     for (const unsigned set : options.input_sets) {
-        const auto capture = analysis::capture_trace(*app, set);
-        const auto flow = analysis::build_signal_flow(capture.program, S);
-        const auto model = analysis::build_error_model(capture.program, flow);
-
         // (a) A real rounded run under the staircase config (pairwise
-        // distinct formats, so it aligns with the capture).
-        app->prepare(set);
-        sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                                  .record_values = true}};
+        // distinct formats, so it aligns with the shadow run), recorded
+        // through the sink seam, against the ranges a shadow run folds at
+        // that config's per-signal rounding steps.
         const apps::TypeConfig probe = analysis::staircase_config(S);
-        (void)app->run(ctx, probe);
-        const sim::TraceProgram observed = ctx.take_program(false);
-
-        std::vector<double> u(S, 0.0);
+        analysis::ShadowOptions shadow_options;
+        shadow_options.drift_steps.assign(S, 0.0);
         for (std::size_t s = 0; s < S; ++s) {
-            u[s] = std::ldexp(
+            shadow_options.drift_steps[s] = std::ldexp(
                 1.0, -(static_cast<int>(
                            probe[static_cast<apps::SignalId>(s)].mant_bits) +
                        1));
         }
+        shadow_options.inflation = 4.0;
         const auto ranges =
-            analysis::static_signal_ranges(model, flow, u, /*inflation=*/4.0);
+            analysis::shadow_run(*app, set, shadow_options).ranges;
+        const RecordedRun shadow = record_shadow_run(*app, set);
+        const RecordedRun observed =
+            record_run(*app, set, probe, /*shadow=*/false);
 
-        auto mapped = analysis::align_value_signals(observed, flow,
-                                                    capture.program);
-        if (mapped.empty()) {
-            // Rounding flipped a data-dependent branch: fall back to
-            // stream-level attribution (stream ids are run-invariant).
-            const auto streams = analysis::stream_signals(capture.program, S);
-            mapped.assign(observed.value_count, analysis::kUnknownSignal);
-            for (const sim::Instr& instr : observed.instrs) {
-                if (instr.kind == sim::InstrKind::Load && instr.dst >= 0 &&
-                    instr.stream < streams.size()) {
-                    mapped[static_cast<std::size_t>(instr.dst)] =
-                        streams[instr.stream];
-                }
-            }
-        }
-        ASSERT_EQ(mapped.size(), observed.value_count);
-        ASSERT_EQ(observed.values.size(), observed.value_count);
+        // Positional attribution when the instruction streams match; when a
+        // rounded compare flipped a data-dependent branch, stream-level
+        // attribution (stream ids are run-invariant).
+        const auto mapped = attribute_values(observed, shadow, S);
+        ASSERT_EQ(mapped.size(), observed.values.size());
         for (std::size_t id = 0; id < observed.values.size(); ++id) {
             const std::int32_t sig = mapped[id];
             if (sig < 0) continue;

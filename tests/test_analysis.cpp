@@ -1,5 +1,5 @@
-// Static precision-dataflow analysis (src/analysis/): capture machinery,
-// signal-flow construction, error model, lint, and the derived warm-start
+// Static precision-dataflow analysis (src/analysis/): the streamed shadow
+// run (signal flow, error model, ranges), lint, and the derived warm-start
 // bounds — including the Instr::fmt2 sentinel regression and the
 // soundness/identity contract of SearchOptions::static_bounds on a real
 // app. The all-apps soundness battery lives in the conformance suite
@@ -15,9 +15,9 @@
 #include "analysis/derive_bounds.hpp"
 #include "analysis/error_model.hpp"
 #include "analysis/lint.hpp"
-#include "analysis/range_analysis.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
+#include "shadow_recorder.hpp"
 #include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
 #include "tuning/search.hpp"
@@ -165,34 +165,40 @@ TEST(SignalFlow, TaggingConfigRoundTrips) {
 
 TEST(SignalFlow, ShadowCaptureTracksGolden) {
     // The binary64 shadow run follows the golden execution; only app-level
-    // input staging through the near-binary64 tag formats perturbs it.
+    // input staging through the near-binary64 tag formats perturbs it. The
+    // sink hears of every id and every raw() readout.
     for (const char* name : {"jacobi", "knn", "fft"}) {
         auto app = apps::make_app(name);
         const auto golden = app->golden(0);
-        const auto capture = analysis::capture_trace(*app, 0);
-        ASSERT_EQ(capture.output.size(), golden.size()) << name;
-        EXPECT_LE(tuning::output_error(golden, capture.output), 1e-9) << name;
-        EXPECT_EQ(capture.program.values.size(), capture.program.value_count)
-            << name;
-        EXPECT_FALSE(capture.program.output_taps.empty()) << name;
+        const auto run = analysis::shadow_run(*app, 0, {});
+        ASSERT_EQ(run.output.size(), golden.size()) << name;
+        EXPECT_LE(tuning::output_error(golden, run.output), 1e-9) << name;
+        const auto recorded = testing::record_shadow_run(*app, 0);
+        EXPECT_EQ(recorded.values.size(), run.value_count) << name;
+        EXPECT_EQ(recorded.output, run.output) << name;
+        EXPECT_FALSE(run.taps.empty()) << name;
+        EXPECT_EQ(run.taps.size(), recorded.taps.size()) << name;
     }
 }
 
 TEST(SignalFlow, BuildsSignalLevelDag) {
     auto app = apps::make_app("jacobi");
-    const auto capture = analysis::capture_trace(*app, 0);
+    const auto run = analysis::shadow_run(*app, 0, {});
     const std::size_t S = app->signals().size();
-    const auto flow = analysis::build_signal_flow(capture.program, S);
-    ASSERT_EQ(flow.value_signal.size(), capture.program.value_count);
-    // Every recorded value maps to a signal (tag formats only).
+    const auto recorded = testing::record_shadow_run(*app, 0);
+    const auto value_signal = testing::value_signals(recorded, S);
+    ASSERT_EQ(value_signal.size(), run.value_count);
+    // Every value maps to a signal (tag formats only).
     std::size_t tagged = 0;
-    for (const std::int32_t sig : flow.value_signal) {
+    for (const std::int32_t sig : value_signal) {
         if (sig >= 0) ++tagged;
         EXPECT_LT(sig, static_cast<std::int32_t>(S));
     }
-    EXPECT_EQ(tagged, capture.program.value_count);
+    EXPECT_EQ(tagged, run.value_count);
     // Jacobi averages neighbours: some signal accumulates and some signal
     // depends on another.
+    const analysis::SignalFlowGraph& flow = run.flow;
+    ASSERT_EQ(flow.signal_count, S);
     bool any_edge = false;
     bool any_chain = false;
     for (std::size_t a = 0; a < S; ++a) {
@@ -207,22 +213,19 @@ TEST(SignalFlow, BuildsSignalLevelDag) {
 
 TEST(SignalFlow, AlignmentTransfersSignalsAndDetectsMismatch) {
     auto app = apps::make_app("dwt");
-    const auto capture = analysis::capture_trace(*app, 0);
+    const auto shadow = testing::record_shadow_run(*app, 0);
     const std::size_t S = app->signals().size();
-    const auto flow = analysis::build_signal_flow(capture.program, S);
+    const auto value_signal = testing::value_signals(shadow, S);
 
-    // A real run only aligns with the capture when its config keeps every
-    // signal's format distinct — a uniform config elides the casts the tag
-    // config emits at signal junctions, so the instruction streams differ
-    // structurally. The staircase config is the designated probe for this.
-    app->prepare(0);
-    sim::TpContext ctx{sim::TpContext::Config{.trace = true,
-                                              .record_values = true}};
-    (void)app->run(ctx, analysis::staircase_config(S));
-    sim::TraceProgram observed = ctx.take_program(false);
+    // A real run only aligns with the shadow run when its config keeps
+    // every signal's format distinct — a uniform config elides the casts
+    // the tag config emits at signal junctions, so the instruction streams
+    // differ structurally. The staircase config is the designated probe.
+    auto observed =
+        testing::record_run(*app, 0, analysis::staircase_config(S), false);
     const auto mapped =
-        analysis::align_value_signals(observed, flow, capture.program);
-    ASSERT_EQ(mapped.size(), observed.value_count);
+        testing::align_value_signals(observed, value_signal, shadow);
+    ASSERT_EQ(mapped.size(), observed.values.size());
     // Every aligned value is attributed to a real signal of the app.
     for (const std::int32_t sig : mapped) {
         EXPECT_GE(sig, 0);
@@ -233,11 +236,11 @@ TEST(SignalFlow, AlignmentTransfersSignalsAndDetectsMismatch) {
     // branch) is rejected, not mis-attributed.
     observed.instrs.pop_back();
     EXPECT_TRUE(
-        analysis::align_value_signals(observed, flow, capture.program).empty());
+        testing::align_value_signals(observed, value_signal, shadow).empty());
 
     // The stream fallback maps every tagged array to its signal and
     // survives divergence (stream ids come from make_array order).
-    const auto streams = analysis::stream_signals(capture.program, S);
+    const auto streams = testing::stream_signals(shadow, S);
     int tagged = 0;
     for (const std::int32_t sig : streams) {
         tagged += sig >= 0;
@@ -250,32 +253,34 @@ TEST(SignalFlow, AlignmentTransfersSignalsAndDetectsMismatch) {
 
 TEST(ErrorModel, ObservationsAndCoefficientsArePopulated) {
     auto app = apps::make_app("svm");
-    const auto capture = analysis::capture_trace(*app, 0);
     const std::size_t S = app->signals().size();
-    const auto flow = analysis::build_signal_flow(capture.program, S);
-    const auto model = analysis::build_error_model(capture.program, flow);
-    ASSERT_EQ(model.observed.size(), S);
+    analysis::ShadowOptions options;
+    options.drift_steps.assign(S, std::ldexp(1.0, -24));
+    options.inflation = 4.0;
+    const auto run = analysis::shadow_run(*app, 0, options);
+    ASSERT_EQ(run.observed.size(), S);
     bool any_observation = false;
-    for (const auto& obs : model.observed) {
+    for (const auto& obs : run.observed) {
         any_observation = any_observation || obs.count > 0;
         EXPECT_GE(obs.max_value, obs.min_value);
     }
     EXPECT_TRUE(any_observation);
-    // Output taps carry accumulated error sensitivity to some signal.
+    // Output taps carry accumulated error sensitivity to some signal: every
+    // svm output element is a stored value, so the tap variance is the sum
+    // of the tapped values' variance rows alone.
+    ASSERT_FALSE(run.taps.empty());
+    for (const auto& tap : run.taps) EXPECT_GE(tap.value_id, 0);
+    ASSERT_EQ(run.tap_variance.size(), S);
     double total = 0.0;
-    for (const auto& tap : capture.program.output_taps) {
-        if (tap.value_id < 0) continue;
-        for (const double c : model.var_row(tap.value_id)) total += c;
-    }
+    for (const double c : run.tap_variance) total += c;
     EXPECT_GT(total, 0.0);
 
-    const auto ranges =
-        analysis::static_signal_ranges_at_uniform(model, flow, 24, 4.0);
+    const auto& ranges = run.ranges;
     ASSERT_EQ(ranges.size(), S);
     for (std::size_t s = 0; s < S; ++s) {
         if (!ranges[s].populated) continue;
-        EXPECT_LE(ranges[s].lo, model.observed[s].min_value);
-        EXPECT_GE(ranges[s].hi, model.observed[s].max_value);
+        EXPECT_LE(ranges[s].lo, run.observed[s].min_value);
+        EXPECT_GE(ranges[s].hi, run.observed[s].max_value);
         EXPECT_GE(ranges[s].exp_floor_bits, 1);
         EXPECT_LE(ranges[s].exp_floor_bits, 11);
     }
