@@ -247,11 +247,6 @@ private:
         max_drift_[sig] = std::max(max_drift_[sig], drift);
     }
 
-    StreamState& stream(std::uint32_t id) {
-        if (id >= streams_.size()) streams_.resize(id + std::size_t{1});
-        return streams_[id];
-    }
-
     /// An instruction that defines a value: its flow and its rows.
     void define(const sim::Instr& instr, const Ref& out) {
         const std::int32_t sig = out.state->signal;
@@ -362,7 +357,10 @@ private:
             flow_.depends_on[static_cast<std::size_t>(stream_signal)]
                             [static_cast<std::size_t>(src_signal)] = 1;
         }
-        StreamState& st = stream(instr.stream);
+        if (instr.stream >= streams_.size()) {
+            streams_.resize(instr.stream + std::size_t{1});
+        }
+        StreamState& st = streams_[instr.stream];
         st.chain = std::max(st.chain, src.chain());
         if (src.state == nullptr) return;
         if (st.abs_max.empty()) {
