@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
 #include "flexfloat/arith_backend.hpp"
 #include "flexfloat/stats.hpp"
@@ -275,6 +278,94 @@ public:
                 std::is_same_v<Ctx, PlainContext> ? 1.0 : 0.0};
     }
 };
+
+/// Keeps a sink-mode run and counts breaches of the TraceSink contract:
+/// an id an instruction defines or reads, or a readout names, whose record
+/// has not arrived by the end of the call that delivers it.
+class CheckingSink final : public tp::sim::TraceSink {
+public:
+    void feed(std::span<const tp::sim::Instr> instrs,
+              std::span<const tp::sim::ValueRecord> values,
+              std::span<const tp::sim::OutputTap> taps) override {
+        records.insert(records.end(), values.begin(), values.end());
+        const auto arrived = [this](std::int32_t id) {
+            return id < 0 || static_cast<std::size_t>(id) < records.size();
+        };
+        for (const tp::sim::Instr& instr : instrs) {
+            for (const std::int32_t id :
+                 {instr.dst, instr.src1, instr.src2, instr.src3}) {
+                late += arrived(id) ? 0 : 1;
+            }
+        }
+        for (const tp::sim::OutputTap& tap : taps) {
+            late += arrived(tap.value_id) ? 0 : 1;
+        }
+        trace.insert(trace.end(), instrs.begin(), instrs.end());
+        readouts.insert(readouts.end(), taps.begin(), taps.end());
+    }
+
+    tp::sim::Trace trace;
+    std::vector<tp::sim::ValueRecord> records;
+    std::vector<tp::sim::OutputTap> readouts;
+    std::size_t late = 0;
+};
+
+// Sink mode hands on exactly the trace the stored mode keeps, each
+// instruction with the records of the ids it touches, one record per id in
+// the defining instruction's result format, and every raw() readout in
+// output order.
+TEST(Context, SinkModeHandsOnTheStoredTraceWithEveryRecord) {
+    for (const std::string& name : tp::apps::app_names()) {
+        auto app = tp::apps::make_app(name);
+        for (const tp::apps::TypeConfig& config :
+             {app->uniform_config(tp::kBinary32),
+              tp::analysis::staircase_config(app->signal_table().size())}) {
+            app->prepare(1);
+            TpContext stored;
+            const std::vector<double> stored_out = app->run(stored, config);
+            const tp::sim::TraceProgram program = stored.take_program(false);
+
+            app->prepare(1);
+            CheckingSink sink;
+            TpContext ctx{TpContext::Sinking{&sink}};
+            const std::vector<double> out = app->run(ctx, config);
+            ctx.flush();
+
+            EXPECT_EQ(out, stored_out) << name;
+            EXPECT_EQ(sink.late, 0u) << name;
+            ASSERT_EQ(sink.records.size(), program.value_count) << name;
+            ASSERT_EQ(sink.trace.size(), program.instrs.size()) << name;
+            for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+                const tp::sim::Instr& a = sink.trace[i];
+                const tp::sim::Instr& b = program.instrs[i];
+                ASSERT_TRUE(a.kind == b.kind && a.op == b.op && a.fmt == b.fmt &&
+                            a.fmt2 == b.fmt2 && a.bytes == b.bytes &&
+                            a.vectorizable == b.vectorizable &&
+                            a.stream == b.stream && a.dst == b.dst &&
+                            a.src1 == b.src1 && a.src2 == b.src2 &&
+                            a.src3 == b.src3)
+                    << name << " instruction " << i;
+                if (b.dst < 0) continue;
+                const tp::FpFormat result =
+                    b.kind == InstrKind::FpCast ? b.fmt2 : b.fmt;
+                EXPECT_EQ(sink.records[static_cast<std::size_t>(b.dst)].fmt,
+                          result)
+                    << name << " instruction " << i;
+            }
+            // Kernels build their output from raw() reads, in call order.
+            ASSERT_FALSE(sink.readouts.empty()) << name;
+            std::size_t k = 0;
+            for (const tp::sim::OutputTap& tap : sink.readouts) {
+                while (k < out.size() && std::bit_cast<std::uint64_t>(out[k]) !=
+                                             std::bit_cast<std::uint64_t>(tap.value)) {
+                    ++k;
+                }
+                ASSERT_LT(k, out.size()) << name << ": a readout not in the output";
+                ++k;
+            }
+        }
+    }
+}
 
 TEST(KernelApp, UntracedForceEmulatedReachesPlainKernel) {
     BackendProbeApp app;
