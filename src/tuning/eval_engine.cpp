@@ -1,5 +1,6 @@
 #include "tuning/eval_engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <future>
 #include <stdexcept>
@@ -12,30 +13,27 @@
 namespace tp::tuning {
 namespace {
 
-/// Approximate heap cost of one cache entry beyond its payload: the map
-/// node, the LRU node (which carries a key copy), and the shared_ptr
-/// control block. Precision is not the point — the budget only needs to
-/// track real usage closely enough that "bounded" means bounded.
-constexpr std::size_t kEntryOverheadBytes = 160;
+// Heap cost of cache entries, in the chunks glibc's malloc hands out on a
+// 64-bit build: the request plus an 8-byte header, rounded up to 16 bytes,
+// at least 32. Precision is not the point — the budget only needs to track
+// real usage closely enough that "bounded" means bounded.
+constexpr std::size_t chunk_bytes(std::size_t request) {
+    return std::max<std::size_t>(32, (request + 8 + 15) / 16 * 16);
+}
 
+/// The key's format array: two bytes per signal.
 std::size_t key_bytes(std::size_t config_signals) {
-    return config_signals * sizeof(tp::FpFormat);
+    return chunk_bytes(config_signals * sizeof(FpFormat));
 }
 
-std::size_t output_bytes(const std::vector<double>& output,
-                         std::size_t config_signals) {
-    return output.size() * sizeof(double) + 2 * key_bytes(config_signals) +
-           kEntryOverheadBytes;
-}
-
-std::size_t report_bytes(const sim::RunReport& report,
-                         std::size_t config_signals) {
-    // The per-format map is the only dynamic part of a RunReport; a map
-    // node is roughly the pair plus pointers.
-    return sizeof(sim::RunReport) +
-           report.per_format.size() * (sizeof(FpFormat) +
-                                       sizeof(sim::FormatActivity) + 48) +
-           2 * key_bytes(config_signals) + kEntryOverheadBytes;
+/// A report entry's own allocations: make_shared's one block (control
+/// block and report) and one per_format tree node per format (links and
+/// color, then the pair).
+std::size_t report_bytes(const sim::RunReport& report) {
+    return chunk_bytes(16 + sizeof(sim::RunReport)) +
+           report.per_format.size() *
+               chunk_bytes(32 + sizeof(std::pair<const FpFormat,
+                                                 sim::FormatActivity>));
 }
 
 /// The stack of EvalStatsScopes alive on this thread. Thread-local, so
@@ -184,29 +182,21 @@ const std::vector<double>& EvalEngine::golden(unsigned input_set) {
     }
 }
 
-std::vector<double> EvalEngine::output(unsigned input_set,
-                                       const apps::TypeConfig& config) {
+double EvalEngine::output_error(unsigned input_set, apps::TypeConfig config) {
     // Validate before any counter moves or kernel runs: a rejected config
     // must leave the engine (and the trials == hits + runs invariant)
     // untouched.
     check_config(config);
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.trials; });
     return *obtain(CacheKey{CacheKey::Kind::Output, input_set, /*simd=*/false,
-                            config})
-                .output;
+                            std::move(config)})
+                .error;
 }
 
-bool EvalEngine::meets(unsigned input_set, const apps::TypeConfig& config,
+bool EvalEngine::meets(unsigned input_set, apps::TypeConfig config,
                        double epsilon) {
-    check_config(config); // before the golden run and the trial counter
-    bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.trials; });
-    // Golden first: the reference stays valid (pinned) while the trial
-    // cache mutates, and the hit path reduces the shared cached output in
-    // place — no copy.
-    const std::vector<double>& reference = golden(input_set);
-    const CacheValue value = obtain(
-        CacheKey{CacheKey::Kind::Output, input_set, /*simd=*/false, config});
-    return meets_requirement(reference, *value.output, epsilon);
+    return meets_requirement(output_error(input_set, std::move(config)),
+                             epsilon);
 }
 
 sim::RunReport EvalEngine::report(unsigned input_set,
@@ -218,27 +208,47 @@ sim::RunReport EvalEngine::report(unsigned input_set,
 }
 
 EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key) {
-    // Thread-scoped backend override: execute() always runs the kernel on
-    // the calling thread (pool tasks call it from the worker), so the
-    // scope pins exactly this run — and nothing else — to the emulated
-    // backend when the engine option asks for it.
-    const arith::ScopedForceEmulated backend{force_emulated_};
-    std::unique_ptr<apps::App> app = acquire_clone();
-    app->prepare(key.input_set);
+    const bool costing = key.kind == CacheKey::Kind::Report;
+    // A quality trial's golden comes first (golden() runs it on this thread
+    // if need be, locking only around its own bookkeeping), so the run
+    // never holds two clones.
+    const std::vector<double>* reference =
+        costing ? nullptr : &golden(key.input_set);
     CacheValue value;
-    if (key.kind == CacheKey::Kind::Output) {
-        sim::TpContext ctx{sim::TpContext::Config{.trace = false}};
-        value.output = std::make_shared<const std::vector<double>>(
-            app->run(ctx, key.config));
-    } else {
-        // Traced in cost mode: the platform prices the run as it executes.
-        sim::TpContext ctx{sim::TpContext::Costing{.simd = key.simd}};
-        value.output = std::make_shared<const std::vector<double>>(
-            app->run(ctx, key.config));
-        value.report = std::make_shared<const sim::RunReport>(ctx.take_report());
+    std::vector<double> output;
+    {
+        // Thread-scoped backend override: execute() always runs the kernel
+        // on the calling thread (pool tasks call it from the worker), so
+        // the scope pins exactly this run — and nothing else — to the
+        // emulated backend when the engine option asks for it.
+        const arith::ScopedForceEmulated backend{force_emulated_};
+        std::unique_ptr<apps::App> app = acquire_clone();
+        app->prepare(key.input_set);
+        if (costing) {
+            // Traced in cost mode: the platform prices the run as it
+            // executes.
+            sim::TpContext ctx{sim::TpContext::Costing{.simd = key.simd}};
+            output = app->run(ctx, key.config);
+            value.report =
+                std::make_shared<const sim::RunReport>(ctx.take_report());
+        } else {
+            sim::TpContext ctx{sim::TpContext::Config{.trace = false}};
+            output = app->run(ctx, key.config);
+        }
+        release_clone(std::move(app));
     }
-    release_clone(std::move(app));
     bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.kernel_runs; });
+    if (costing) {
+        // Tracing does not change the arithmetic, so this output's error
+        // also serves future quality trials of the same binding — but only
+        // against a golden some trial already pinned: no report runs one.
+        const std::lock_guard<std::mutex> lock{cache_mutex_};
+        const auto pinned = goldens_.find(key.input_set);
+        if (pinned != goldens_.end()) reference = &pinned->second;
+    }
+    if (reference != nullptr) {
+        value.error = tuning::output_error(*reference, output);
+    }
     return value;
 }
 
@@ -247,14 +257,14 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
 
     std::shared_ptr<Flight> flight;
     bool runner = false;
-    CacheValue ready;
+    std::optional<CacheValue> ready;
     {
         const std::lock_guard<std::mutex> lock{cache_mutex_};
         const auto it = cache_.find(key);
         if (it != cache_.end()) {
-            // Touch: move to the LRU front. Shared ownership keeps the
-            // value alive for this caller even if it is evicted before
-            // the caller finishes with it.
+            // Touch: move to the LRU front. The error is copied, and shared
+            // ownership keeps a report alive for this caller even if it is
+            // evicted before the caller finishes with it.
             lru_.splice(lru_.begin(), lru_, it->second.lru);
             ready = it->second.value;
         } else {
@@ -269,9 +279,9 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
     }
     // Locks are taken sequentially, never nested — the engine has no lock
     // ordering to get wrong.
-    if (ready.output != nullptr || ready.report != nullptr) {
+    if (ready.has_value()) {
         bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.cache_hits; });
-        return ready;
+        return std::move(*ready);
     }
 
     if (!runner) {
@@ -294,18 +304,18 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
             if (key.kind == CacheKey::Kind::Output) {
                 evicted += publish(key, value);
             } else {
-                // The report entry must not retain the output: the two are
-                // budgeted (and evicted) independently, so a pinned extra
-                // reference would keep evicted output bytes alive.
-                evicted += publish(key, CacheValue{nullptr, value.report});
-                // Tracing does not change the arithmetic, so the output
-                // this run produced also serves future quality trials of
-                // the same binding (e.g. cast-aware cost probe -> quality
-                // check on the same set).
-                evicted += publish(CacheKey{CacheKey::Kind::Output,
-                                            key.input_set, /*simd=*/false,
-                                            key.config},
-                                   CacheValue{value.output, nullptr});
+                // The two entries are budgeted (and evicted) independently,
+                // so each holds only its own payload.
+                evicted += publish(key, CacheValue{std::nullopt, value.report});
+                // A cost probe whose error execute() could compute seeds
+                // the quality trial of the same binding (e.g. cast-aware
+                // cost probe -> quality check on the same set).
+                if (value.error.has_value()) {
+                    evicted += publish(CacheKey{CacheKey::Kind::Output,
+                                                key.input_set, /*simd=*/false,
+                                                key.config},
+                                       CacheValue{value.error, nullptr});
+                }
             }
         }
         if (evicted > 0) {
@@ -324,27 +334,40 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
     }
 }
 
+std::size_t EvalEngine::entry_bytes(const CacheKey& key,
+                                    const CacheValue& value) {
+    // Every entry: the map node (next pointer, key, and the entry holding
+    // the error, the report pointer and the LRU position), the LRU node
+    // (two links and a pointer to the key in that map node), and the
+    // node's bucket slot (one pointer, up to two per entry while the table
+    // fills between rehashes). An output entry's error lives in the node.
+    constexpr std::size_t kEntryOverheadBytes =
+        chunk_bytes(sizeof(void*) + sizeof(CacheKey) + sizeof(CacheEntry)) +
+        chunk_bytes(2 * sizeof(void*) + sizeof(const CacheKey*)) +
+        2 * sizeof(void*);
+    const std::size_t bytes = kEntryOverheadBytes + key_bytes(key.config.size());
+    return key.kind == CacheKey::Kind::Output
+               ? bytes
+               : bytes + report_bytes(*value.report);
+}
+
 // Requires cache_mutex_ held.
 std::size_t EvalEngine::publish(const CacheKey& key, const CacheValue& value) {
     const auto [it, inserted] = cache_.try_emplace(key);
     if (!inserted) return 0; // e.g. a traced run racing a plain output run
     it->second.value = value;
-    it->second.bytes =
-        key.kind == CacheKey::Kind::Output
-            ? output_bytes(*value.output, key.config.size())
-            : report_bytes(*value.report, key.config.size());
-    lru_.push_front(key);
+    lru_.push_front(&it->first);
     it->second.lru = lru_.begin();
-    cache_bytes_ += it->second.bytes;
+    cache_bytes_ += entry_bytes(key, value);
 
     std::size_t evicted = 0;
     while (cache_budget_bytes_ != 0 && cache_bytes_ > cache_budget_bytes_ &&
            !lru_.empty()) {
-        const auto victim = cache_.find(lru_.back());
+        const auto victim = cache_.find(*lru_.back());
         assert(victim != cache_.end());
-        cache_bytes_ -= victim->second.bytes;
-        cache_.erase(victim);
+        cache_bytes_ -= entry_bytes(victim->first, victim->second.value);
         lru_.pop_back();
+        cache_.erase(victim);
         ++evicted;
     }
     return evicted;

@@ -21,10 +21,14 @@
 //                      DistributedSearch base run inside cast_aware);
 //   * golden cache   — binary64 reference outputs per input set, pinned
 //                      for the engine's lifetime;
-//   * trial cache    — (input_set, config) -> program output, and
-//                      (input_set, config, simd) -> sim::RunReport for
-//                      the platform-cost oracle, bounded by an LRU
-//                      memory budget (Options::cache_budget_bytes).
+//   * trial cache    — (input_set, config) -> the output's relative
+//                      error against the golden (tuning/quality.hpp), one
+//                      double computed once right after the kernel run,
+//                      and (input_set, config, simd) -> sim::RunReport
+//                      for the platform-cost oracle, bounded by an LRU
+//                      memory budget (Options::cache_budget_bytes). A
+//                      quality trial is judged by that one number, so a
+//                      hit reads neither an output nor the golden.
 //
 // Concurrent first requests for the same key are single-flighted: the
 // first requester executes the kernel, later requesters wait on its
@@ -37,8 +41,8 @@
 // -----------------------------------
 // Kernels are pure functions of (input_set, config): deterministic
 // FlexFloat double arithmetic over deterministically generated inputs.
-// A cache hit therefore returns exactly the bytes a re-run would
-// produce, so ANY cache state (cold, warm from a previous search,
+// A cache hit therefore returns exactly the error (or report) a re-run
+// would produce, so ANY cache state (cold, warm from a previous search,
 // partially evicted under a memory budget, or memoization disabled) and
 // ANY thread count yield bit-identical search results. Callers count
 // logical trials themselves (TuningResult::program_runs is the number of
@@ -52,6 +56,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -165,11 +170,13 @@ public:
         /// Trial memoization. Disabling re-runs every trial — results are
         /// identical by the determinism contract; only EvalStats change.
         bool memoize = true;
-        /// Upper bound, in bytes, of memoized trial outputs and reports;
-        /// least-recently-used entries are evicted once it is exceeded.
-        /// 0 means unbounded. Goldens are pinned and never count against
-        /// the budget. Eviction only costs re-runs: results stay
-        /// bit-identical in any eviction state.
+        /// Upper bound, in bytes, of memoized trial errors and reports,
+        /// each charged at its estimated heap cost (the map node with its
+        /// key, the key's format array, the LRU node, and a report's own
+        /// allocations); least-recently-used entries are evicted once it
+        /// is exceeded. 0 means unbounded. Goldens are pinned and never
+        /// count against the budget. Eviction only costs re-runs: results
+        /// stay bit-identical in any eviction state.
         std::size_t cache_budget_bytes = 0;
         /// Pin every kernel (trials and goldens) this engine runs to the
         /// emulated arithmetic backend — applied as a thread-scoped
@@ -204,21 +211,28 @@ public:
     /// pinned: neither clear_cache() nor the LRU budget touches them.
     const std::vector<double>& golden(unsigned input_set);
 
-    /// Program output under `config` on `input_set` (untraced run).
-    /// Memoized; safe to call from pool workers.
-    std::vector<double> output(unsigned input_set, const apps::TypeConfig& config);
+    /// Relative error (tuning/quality.hpp output_error) of the untraced
+    /// run under `config` on `input_set` against the set's golden output.
+    /// One memoized trial: a miss runs the kernel, and the golden unless
+    /// it is pinned, and caches only this number. `config` is moved into
+    /// the cache key. Safe to call from pool workers.
+    double output_error(unsigned input_set, apps::TypeConfig config);
 
     /// One quality trial: does the output under `config` meet the
-    /// requirement `epsilon` against the golden output? Counts as one
-    /// trial; epsilon is applied to the (cached) output, so the same
-    /// config can be checked against several requirements for one run.
-    bool meets(unsigned input_set, const apps::TypeConfig& config, double epsilon);
+    /// requirement `epsilon` against the golden output? That is
+    /// meets_requirement(output_error(input_set, config), epsilon), so it
+    /// counts as one trial and the same config can be checked against
+    /// several requirements for one run.
+    bool meets(unsigned input_set, apps::TypeConfig config, double epsilon);
 
     /// Traced run priced on the virtual platform while it executes (the
     /// cast-aware pass's cost oracle): the kernel runs on a cost-mode
     /// sim::TpContext, which stores no trace, and the report equals
     /// sim::simulate of the same run's stored program. Memoized per
-    /// (input_set, config, simd).
+    /// (input_set, config, simd). Tracing does not change the arithmetic,
+    /// so when the set's golden is already pinned the run also seeds the
+    /// output_error entry of (input_set, config); a report never runs a
+    /// golden itself.
     sim::RunReport report(unsigned input_set, const apps::TypeConfig& config,
                           bool simd);
 
@@ -230,21 +244,21 @@ public:
     /// them through it keeps the counter visible to EvalStatsScope.
     void note_trials_skipped(std::size_t n);
 
-    /// Bytes currently charged to the trial cache (outputs + reports,
+    /// Bytes currently charged to the trial cache (errors + reports,
     /// excluding pinned goldens). Never exceeds a non-zero
     /// Options::cache_budget_bytes once an insertion completes.
     [[nodiscard]] std::size_t cache_bytes() const;
 
-    /// Drops every memoized trial output and report; goldens and counters
+    /// Drops every memoized trial error and report; goldens and counters
     /// are kept. Safe to call concurrently with evaluations — readers
-    /// hold shared ownership of the values they are using, and in-flight
-    /// executions publish into the now-empty cache.
+    /// hold a copy of the error or shared ownership of the report they are
+    /// using, and in-flight executions publish into the now-empty cache.
     void clear_cache();
 
 private:
-    /// One key space for both caches: `kind` separates untraced outputs
-    /// from traced (input_set, config, simd) platform reports so the two
-    /// can share the LRU list and the memory budget.
+    /// One key space for both caches: `kind` separates untraced output
+    /// errors from traced (input_set, config, simd) platform reports so
+    /// the two can share the LRU list and the memory budget.
     struct CacheKey {
         enum class Kind : unsigned char { Output, Report };
         Kind kind = Kind::Output;
@@ -263,21 +277,27 @@ private:
         }
     };
 
-    /// What an in-flight execution resolves to: the output for Output
-    /// keys, the report for Report keys. Shared ownership keeps a value
-    /// alive for waiters and readers even after the LRU budget evicts its
-    /// cache entry.
+    /// What an execution resolves to: the output's relative error for
+    /// Output keys, the report for Report keys. A Report execution carries
+    /// its output's error too when the set's golden was pinned, to seed
+    /// the Output entry. Shared ownership keeps a report alive for waiters
+    /// and readers even after the LRU budget evicts its cache entry.
     struct CacheValue {
-        std::shared_ptr<const std::vector<double>> output;
+        std::optional<double> error;
         std::shared_ptr<const sim::RunReport> report;
     };
     struct Flight; // promise/shared_future pair, defined in the .cpp
 
     struct CacheEntry {
         CacheValue value;
-        std::size_t bytes = 0;
-        std::list<CacheKey>::iterator lru; // position in lru_
+        /// Position in lru_, whose nodes point at this entry's key in the
+        /// map node (stable across rehashes, unlike map iterators).
+        std::list<const CacheKey*>::iterator lru;
     };
+
+    /// Heap bytes one entry is charged (eval_engine.cpp derives them).
+    [[nodiscard]] static std::size_t entry_bytes(const CacheKey& key,
+                                                 const CacheValue& value);
 
     void check_config(const apps::TypeConfig& config) const;
 
@@ -291,8 +311,11 @@ private:
     /// cache_hits exactly once per call.
     CacheValue obtain(const CacheKey& key);
 
-    /// Executes `key`'s kernel run on a pooled clone. For Report keys the
-    /// produced output is returned too, so it can seed the output cache.
+    /// Executes `key`'s kernel run on a pooled clone and reduces its output
+    /// to the error against the golden: for Output keys always, running
+    /// the golden first if need be; for Report keys only when the golden
+    /// is already pinned, so the error can seed the Output entry. Holds no
+    /// engine lock across golden() or the run.
     [[nodiscard]] CacheValue execute(const CacheKey& key);
 
     /// Inserts `value` for `key` (if absent), charges its bytes, and
@@ -313,7 +336,7 @@ private:
     std::map<unsigned, std::shared_ptr<Flight>> golden_flights_;
     std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
     std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_;
-    std::list<CacheKey> lru_; // front = most recently used
+    std::list<const CacheKey*> lru_; // front = most recently used
     std::size_t cache_bytes_ = 0;
 
     mutable std::mutex stats_mutex_;

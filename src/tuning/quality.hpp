@@ -27,7 +27,14 @@ namespace tp::tuning {
 [[nodiscard]] double output_sqnr(std::span<const double> golden,
                                  std::span<const double> out);
 
-/// The pass/fail predicate the search uses.
+/// The pass/fail predicate the search uses, on an output's relative error
+/// (output_error): its square, the noise-to-signal power ratio, must not
+/// exceed epsilon. The trial cache (tuning/eval_engine.hpp) keeps only this
+/// error per trial and judges every hit through this overload.
+[[nodiscard]] bool meets_requirement(double error, double epsilon);
+
+/// The same predicate on an output: meets_requirement(output_error(golden,
+/// out), epsilon).
 [[nodiscard]] bool meets_requirement(std::span<const double> golden,
                                      std::span<const double> out,
                                      double epsilon);

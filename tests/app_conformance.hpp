@@ -19,7 +19,8 @@
 //   * clone independence — a clone shares the immutable SignalTable but
 //     carries its own workload, so re-preparing one never disturbs the
 //     other (what the engine's worker-private clone pool relies on);
-//   * engine conformance — config-size validation, golden caching, and
+//   * engine conformance — config-size validation, golden caching, each
+//     memoized trial error equal to a direct run's, and
 //     the cache-coherent determinism contract (tuning/search.hpp): cold,
 //     warm, memoization-disabled, and threads=4 searches return
 //     bit-identical TuningResults with exact EvalStats counters.
@@ -33,6 +34,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -327,7 +329,7 @@ TEST_P(AppConformanceTest, CloneSharesTableButNotWorkload) {
 TEST_P(AppConformanceTest, EngineValidatesConfigSize) {
     const auto app = this->app();
     tuning::EvalEngine engine{*app, tuning::EvalEngine::Options{}};
-    EXPECT_THROW((void)engine.output(0, apps::TypeConfig{}),
+    EXPECT_THROW((void)engine.output_error(0, apps::TypeConfig{}),
                  std::invalid_argument);
     EXPECT_THROW((void)engine.meets(
                      0, apps::TypeConfig{app->signals().size() + 1, kBinary32},
@@ -337,7 +339,48 @@ TEST_P(AppConformanceTest, EngineValidatesConfigSize) {
                  std::invalid_argument);
     // Rejected configs leave the counters untouched.
     EXPECT_EQ(engine.stats(), tuning::EvalStats{});
-    EXPECT_NO_THROW((void)engine.output(0, app->uniform_config(kBinary32)));
+    EXPECT_NO_THROW((void)engine.output_error(0, app->uniform_config(kBinary32)));
+}
+
+// The engine memoizes each trial's relative error, not its output. That
+// error must be bit for bit output_error of the app's golden against a
+// plain App::run, cached or not, and meets() must give the span
+// predicate's verdict, err^2 <= epsilon, at epsilon = err^2 and its two
+// neighbours: the points where a reformulation of the predicate, in the
+// engine or in quality.cpp (err <= sqrt(epsilon), say), would flip a
+// verdict.
+TEST_P(AppConformanceTest, EngineErrorMatchesDirectRun) {
+    const auto app = this->app();
+    for (const bool memoize : {true, false}) {
+        tuning::EvalEngine engine{
+            *app, tuning::EvalEngine::Options{.threads = 1, .memoize = memoize}};
+        for (const auto& [binding, config] : conformance_bindings(*app)) {
+            for (unsigned set = 0; set < 3; ++set) {
+                const std::string label = GetParam() + " " + binding + " set " +
+                                          std::to_string(set) +
+                                          (memoize ? " memoized" : " uncached");
+                const std::vector<double> golden = app->golden(set);
+                app->prepare(set);
+                sim::TpContext ctx{sim::TpContext::Config{.trace = false}};
+                const std::vector<double> out = app->run(ctx, config);
+                const double expected = tuning::output_error(golden, out);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.output_error(set, config)),
+                          std::bit_cast<std::uint64_t>(expected))
+                    << label << ": " << expected;
+
+                const double square = expected * expected;
+                for (const double epsilon :
+                     {square, std::nextafter(square, 0.0),
+                      std::nextafter(square, std::numeric_limits<double>::infinity())}) {
+                    const bool verdict = engine.meets(set, config, epsilon);
+                    EXPECT_EQ(verdict, tuning::meets_requirement(golden, out, epsilon))
+                        << label << " epsilon " << epsilon;
+                    EXPECT_EQ(verdict, square <= epsilon)
+                        << label << " epsilon " << epsilon;
+                }
+            }
+        }
+    }
 }
 
 TEST_P(AppConformanceTest, EngineGoldenMatchesAppGoldenAndIsPinned) {

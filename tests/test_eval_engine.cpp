@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@ using tp::apps::SignalTable;
 using tp::apps::TypeConfig;
 using tp::tuning::distributed_search;
 using tp::tuning::EvalEngine;
+using tp::tuning::EvalStats;
 using tp::tuning::SearchOptions;
 using tp::tuning::TuningResult;
 
@@ -105,28 +108,37 @@ TEST(TypeConfig, UniformConfigCoversEverySignal) {
 
 // --- EvalEngine memoization -------------------------------------------------
 
-// Golden caching against App::golden is covered per app by the battery
-// (AppConformanceTest.EngineGoldenMatchesAppGoldenAndIsPinned).
+// Golden caching against App::golden, and each cached error against a
+// direct run, are covered per app by the battery
+// (AppConformanceTest.EngineGoldenMatchesAppGoldenAndIsPinned and
+// AppConformanceTest.EngineErrorMatchesDirectRun).
+
+/// A double's bit pattern: EXPECT_EQ on doubles accepts +0 against -0 and
+/// rejects equal NaNs, and a cached error must be the very bits a re-run
+/// produces.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 TEST(EvalEngine, RepeatedTrialsHitTheCache) {
     const auto app = tp::apps::make_app("conv");
     EvalEngine engine{*app, EvalEngine::Options{}};
     const TypeConfig config = app->uniform_config(tp::kBinary16);
 
-    const auto first = engine.output(0, config);
-    const auto second = engine.output(0, config);
-    EXPECT_EQ(first, second);
+    const double first = engine.output_error(0, config);
+    const double second = engine.output_error(0, config);
+    EXPECT_EQ(bits(first), bits(second));
     auto stats = engine.stats();
     EXPECT_EQ(stats.trials, 2u);
     EXPECT_EQ(stats.kernel_runs, 1u);
     EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.golden_runs, 1u); // the miss pinned set 0's golden
 
     // A different input set is a different trial.
-    (void)engine.output(1, config);
+    (void)engine.output_error(1, config);
     stats = engine.stats();
     EXPECT_EQ(stats.kernel_runs, 2u);
+    EXPECT_EQ(stats.golden_runs, 2u);
 
-    // meets() applies epsilon to the cached output: two requirements, one
+    // meets() applies epsilon to the cached error: two requirements, one
     // kernel execution.
     (void)engine.meets(0, config, 1e-1);
     (void)engine.meets(0, config, 1e-6);
@@ -134,6 +146,7 @@ TEST(EvalEngine, RepeatedTrialsHitTheCache) {
     EXPECT_EQ(stats.trials, 5u);
     EXPECT_EQ(stats.kernel_runs, 2u);
     EXPECT_EQ(stats.cache_hits, 3u);
+    EXPECT_EQ(stats.golden_runs, 2u);
 }
 
 TEST(EvalEngine, RejectsAnotherAppsConfig) {
@@ -153,13 +166,14 @@ TEST(EvalEngine, MemoizationCanBeDisabled) {
     const auto app = tp::apps::make_app("knn");
     EvalEngine engine{*app, EvalEngine::Options{.threads = 1, .memoize = false}};
     const TypeConfig config = app->uniform_config(tp::kBinary16);
-    const auto first = engine.output(0, config);
-    const auto second = engine.output(0, config);
-    EXPECT_EQ(first, second); // determinism, not caching
+    const double first = engine.output_error(0, config);
+    const double second = engine.output_error(0, config);
+    EXPECT_EQ(bits(first), bits(second)); // determinism, not caching
     const auto stats = engine.stats();
     EXPECT_EQ(stats.trials, 2u);
     EXPECT_EQ(stats.kernel_runs, 2u);
     EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.golden_runs, 1u); // goldens are pinned either way
 }
 
 TEST(EvalEngine, ReportCacheKeysOnSimd) {
@@ -183,10 +197,10 @@ TEST(EvalEngine, ClearCacheForcesRerunsButKeepsGoldens) {
     EvalEngine engine{*app, EvalEngine::Options{}};
     const TypeConfig config = app->uniform_config(tp::kBinary8);
     const auto& golden = engine.golden(0);
-    const auto first = engine.output(0, config);
+    const double first = engine.output_error(0, config);
     engine.clear_cache();
-    const auto second = engine.output(0, config);
-    EXPECT_EQ(first, second);
+    const double second = engine.output_error(0, config);
+    EXPECT_EQ(bits(first), bits(second));
     EXPECT_EQ(engine.stats().kernel_runs, 2u);
     // The golden reference survives clear_cache (documented contract).
     EXPECT_EQ(&engine.golden(0), &golden);
@@ -204,25 +218,28 @@ TEST(EvalEngine, ConcurrentFirstRequestsSingleFlight) {
     const TypeConfig config = app->uniform_config(tp::kBinary16);
 
     constexpr unsigned kCallers = 8;
-    const auto expected = engine.output(5, config); // a warm sibling key
+    const double expected = engine.output_error(5, config); // a warm sibling key
     std::latch start{kCallers};
     std::vector<std::thread> callers;
-    std::vector<std::vector<double>> outputs(kCallers);
+    std::vector<double> errors(kCallers);
     for (unsigned i = 0; i < kCallers; ++i) {
-        callers.emplace_back([&engine, &config, &start, &outputs, i] {
+        callers.emplace_back([&engine, &config, &start, &errors, i] {
             start.arrive_and_wait(); // maximize the overlap window
-            outputs[i] = engine.output(0, config);
+            errors[i] = engine.output_error(0, config);
         });
     }
     for (std::thread& caller : callers) caller.join();
 
-    for (const auto& out : outputs) EXPECT_EQ(out, outputs[0]);
-    EXPECT_NE(outputs[0], expected); // different input set, different data
+    for (const double error : errors) EXPECT_EQ(bits(error), bits(errors[0]));
+    // Different input set, different data.
+    EXPECT_NE(bits(errors[0]), bits(expected));
 
     const auto stats = engine.stats();
     EXPECT_EQ(stats.trials, kCallers + 1);
     EXPECT_EQ(stats.kernel_runs, 2u); // input set 5, then exactly one for 0
     EXPECT_EQ(stats.cache_hits, kCallers - 1);
+    // The runner of set 0 pinned its golden; the waiters ran none.
+    EXPECT_EQ(stats.golden_runs, 2u);
 }
 
 TEST(EvalEngine, ConcurrentGoldenRequestsComputeOnce) {
@@ -257,19 +274,19 @@ TEST(EvalEngine, MemoryBudgetBoundsTheCache) {
         configs.push_back(app->uniform_config(tp::FpFormat{8, mant}));
         configs.push_back(app->uniform_config(tp::FpFormat{5, std::min<std::uint8_t>(mant, 10)}));
     }
-    std::vector<std::vector<double>> first;
+    std::vector<double> first;
     for (const TypeConfig& config : configs) {
-        first.push_back(engine.output(0, config));
+        first.push_back(engine.output_error(0, config));
         EXPECT_LE(engine.cache_bytes(), kBudget);
     }
     const auto churned = engine.stats();
     EXPECT_GT(churned.evictions, 0u);
     EXPECT_GT(engine.cache_bytes(), 0u); // bounded, not empty
 
-    // Evicted trials re-run to identical bytes (the determinism contract
+    // Evicted trials re-run to identical bits (the determinism contract
     // extended to eviction state).
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(engine.output(0, configs[i]), first[i]) << i;
+        EXPECT_EQ(bits(engine.output_error(0, configs[i])), bits(first[i])) << i;
     }
     const auto stats = engine.stats();
     EXPECT_EQ(stats.trials, stats.kernel_runs + stats.cache_hits);
@@ -279,7 +296,7 @@ TEST(EvalEngine, UnboundedBudgetNeverEvicts) {
     const auto app = tp::apps::make_app("knn");
     EvalEngine engine{*app, EvalEngine::Options{}};
     for (std::uint8_t mant = 1; mant <= 23; ++mant) {
-        (void)engine.output(0, app->uniform_config(tp::FpFormat{8, mant}));
+        (void)engine.output_error(0, app->uniform_config(tp::FpFormat{8, mant}));
     }
     EXPECT_EQ(engine.stats().evictions, 0u);
     EXPECT_GT(engine.cache_bytes(), 0u);
@@ -291,7 +308,7 @@ TEST(EvalEngine, LeastRecentlyUsedEntryIsEvictedFirst) {
     // inserting B, C, D... — A must survive longer than untouched peers.
     EvalEngine probe{*app, EvalEngine::Options{}};
     const TypeConfig a = app->uniform_config(tp::kBinary16);
-    (void)probe.output(0, a);
+    (void)probe.output_error(0, a);
     const std::size_t one_entry = probe.cache_bytes();
     ASSERT_GT(one_entry, 0u);
 
@@ -299,17 +316,57 @@ TEST(EvalEngine, LeastRecentlyUsedEntryIsEvictedFirst) {
                       EvalEngine::Options{.threads = 1,
                                           .memoize = true,
                                           .cache_budget_bytes = 3 * one_entry}};
-    (void)engine.output(0, a); // A resident
+    (void)engine.output_error(0, a); // A resident
     for (std::uint8_t mant = 1; mant <= 8; ++mant) {
-        (void)engine.output(0, app->uniform_config(tp::FpFormat{8, mant}));
-        (void)engine.output(0, a); // touch A: most recently used again
+        (void)engine.output_error(0, app->uniform_config(tp::FpFormat{8, mant}));
+        (void)engine.output_error(0, a); // touch A: most recently used again
     }
     const auto stats = engine.stats();
     EXPECT_GT(stats.evictions, 0u);
     // A was never evicted: its 9 requests were 1 run + 8 hits.
     const std::size_t runs_before = stats.kernel_runs;
-    (void)engine.output(0, a);
+    (void)engine.output_error(0, a);
     EXPECT_EQ(engine.stats().kernel_runs, runs_before);
+}
+
+// A cost probe's traced run yields the same output as the untraced one,
+// so report() seeds the matching quality trial with that output's error,
+// but only when the set's golden is already pinned: a report never runs a
+// golden itself.
+TEST(EvalEngine, ReportSeedsErrorOnlyForPinnedGolden) {
+    const auto app = tp::apps::make_app("dwt");
+    const TypeConfig config = app->uniform_config(tp::kBinary16);
+    EvalEngine reference_engine{*app, EvalEngine::Options{}};
+    const double reference = reference_engine.output_error(0, config);
+    for (const bool simd : {false, true}) {
+        EvalEngine cold{*app, EvalEngine::Options{}};
+        (void)cold.report(0, config, simd);
+        EXPECT_EQ(cold.stats(), (EvalStats{.trials = 1, .kernel_runs = 1}))
+            << "simd " << simd;
+        // No golden was pinned, so nothing was seeded: the trial runs the
+        // kernel, and its golden.
+        (void)cold.meets(0, config, 1e-1);
+        EXPECT_EQ(cold.stats(),
+                  (EvalStats{.trials = 2, .kernel_runs = 2, .golden_runs = 1}))
+            << "simd " << simd;
+
+        EvalEngine pinned{*app, EvalEngine::Options{}};
+        (void)pinned.golden(0);
+        (void)pinned.report(0, config, simd);
+        EXPECT_EQ(pinned.stats(),
+                  (EvalStats{.trials = 1, .kernel_runs = 1, .golden_runs = 1}))
+            << "simd " << simd;
+        // Seeded: the trial is a hit, and its error is the untraced run's.
+        (void)pinned.meets(0, config, 1e-1);
+        EXPECT_EQ(pinned.stats(), (EvalStats{.trials = 2,
+                                             .kernel_runs = 1,
+                                             .cache_hits = 1,
+                                             .golden_runs = 1}))
+            << "simd " << simd;
+        EXPECT_EQ(bits(pinned.output_error(0, config)), bits(reference))
+            << "simd " << simd;
+        EXPECT_EQ(pinned.stats().kernel_runs, 1u) << "simd " << simd;
+    }
 }
 
 // --- Cache-coherent determinism contract ------------------------------------
