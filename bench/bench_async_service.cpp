@@ -54,7 +54,6 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using tp::bench::identical_results;
 using tp::bench::seconds_since;
 using tp::tuning::distributed_search;
 using tp::tuning::EvalStats;
@@ -213,7 +212,7 @@ bool matches_direct_searches(const Burst& burst) {
             tp::tuning::sweep_search(*instance, options, kSweepEpsilons);
         ok = burst.sweeps[i].size() == reference.size() && ok;
         for (std::size_t e = 0; e < reference.size(); ++e) {
-            ok = identical_results(burst.sweeps[i][e], reference[e]) && ok;
+            ok = burst.sweeps[i][e] == reference[e] && ok;
         }
     }
     for (int i = 0; i < kHighs; ++i) {
@@ -222,9 +221,7 @@ bool matches_direct_searches(const Burst& burst) {
         SearchOptions options = request.options;
         options.epsilon = request.epsilon;
         options.input_sets = request.input_sets;
-        ok = identical_results(burst.highs[i],
-                               distributed_search(*instance, options)) &&
-             ok;
+        ok = burst.highs[i] == distributed_search(*instance, options) && ok;
     }
     return ok;
 }
@@ -235,11 +232,11 @@ bool identical_bursts(const Burst& a, const Burst& b) {
     }
     for (std::size_t i = 0; i < a.sweeps.size(); ++i) {
         for (std::size_t e = 0; e < a.sweeps[i].size(); ++e) {
-            if (!identical_results(a.sweeps[i][e], b.sweeps[i][e])) return false;
+            if (a.sweeps[i][e] != b.sweeps[i][e]) return false;
         }
     }
     for (std::size_t i = 0; i < a.highs.size(); ++i) {
-        if (!identical_results(a.highs[i], b.highs[i])) return false;
+        if (a.highs[i] != b.highs[i]) return false;
     }
     return true;
 }
@@ -402,8 +399,7 @@ SustainedRun run_sustained(bool fair, double service_s,
             ++run.sweeps_completed_during_storm;
         }
         run.bit_identical =
-            identical_results(handle.search_result(),
-                              sweep_refs[static_cast<std::size_t>(i)]) &&
+            handle.search_result() == sweep_refs[static_cast<std::size_t>(i)] &&
             run.bit_identical;
     }
     for (const TicketHandle& handle : interactives) {
@@ -413,8 +409,7 @@ SustainedRun run_sustained(bool fair, double service_s,
         }
         run.interactive_latency_s.push_back(latency_s(handle));
         run.bit_identical =
-            identical_results(handle.search_result(), interactive_ref) &&
-            run.bit_identical;
+            handle.search_result() == interactive_ref && run.bit_identical;
     }
 
     const tp::tuning::AdmissionStats admission = service.admission_stats();

@@ -2,11 +2,6 @@
 
 namespace tp::bench {
 
-bool identical_results(const tuning::TuningResult& a,
-                       const tuning::TuningResult& b) {
-    return a == b;
-}
-
 sim::RunReport simulate_app(apps::App& app, const apps::TypeConfig& config,
                             bool simd, unsigned input_set) {
     app.prepare(input_set);

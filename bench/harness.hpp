@@ -30,12 +30,6 @@ inline const std::vector<double> kEpsilons{1e-3, 1e-2, 1e-1};
         .count();
 }
 
-/// The bit-identity predicate of the determinism contract: memberwise
-/// TuningResult equality (tuning/search.hpp operator==), named for the
-/// benches that gate CI on it.
-[[nodiscard]] bool identical_results(const tuning::TuningResult& a,
-                                     const tuning::TuningResult& b);
-
 /// Traces one run of `app` under `config` and simulates it.
 [[nodiscard]] sim::RunReport simulate_app(apps::App& app,
                                           const apps::TypeConfig& config,

@@ -103,7 +103,7 @@ AppAnalysis analyze(apps::App& app, double epsilon,
     std::vector<CastSite> cast_sites;
     ShadowOptions shadow;
     shadow.drift_steps.assign(S, std::ldexp(1.0, -kMaxPrecisionBits));
-    shadow.inflation = options.range_inflation;
+    shadow.inflation = kRangeInflation;
     shadow.lint = true;
 
     for (const unsigned set : options.input_sets) {
@@ -202,7 +202,7 @@ AppAnalysis analyze(apps::App& app, double epsilon,
                 model_p = clamp_bits(
                     static_cast<int>(
                         std::ceil(std::log2(coeff / quality_budget))) -
-                    options.margin_bits);
+                    kMarginBits);
             }
             best_floor[s] = std::min(best_floor[s], floor_p);
             best_model[s] = std::min(best_model[s], model_p);

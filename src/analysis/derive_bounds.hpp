@@ -19,7 +19,7 @@
 //     pinned to reality: one rounded probe execution per input set (the
 //     staircase config) measures the model's over-prediction factor at a
 //     real operating point, every coefficient is deflated by that factor,
-//     and DeriveOptions::margin_bits absorbs the residual non-linearity.
+//     and kMarginBits more bits absorb the residual non-linearity.
 //     Deflation only ever loosens the bound.
 //
 // The final lower bound is the MINIMUM over input sets. That direction is
@@ -44,6 +44,13 @@
 
 namespace tp::analysis {
 
+/// Bits subtracted from the model bound (never from the rigorous floor) to
+/// absorb the first-order propagation's estimation error.
+inline constexpr int kMarginBits = 2;
+/// Range-enclosure inflation of analyze()'s shadow runs
+/// (ShadowOptions::inflation).
+inline constexpr double kRangeInflation = 4.0;
+
 struct DeriveOptions {
     /// Input sets to run shadow runs on; the bound is the minimum over
     /// them. Use the sets the search will run on (SearchOptions::input_sets).
@@ -51,11 +58,6 @@ struct DeriveOptions {
     /// Type system whose trial formats the representability floors are
     /// computed against; match the search's.
     TypeSystem type_system{TypeSystemKind::V2};
-    /// Bits subtracted from the model bound (never from the rigorous
-    /// floor) to absorb the first-order propagation's estimation error.
-    int margin_bits = 2;
-    /// Range-enclosure inflation (ShadowOptions::inflation).
-    double range_inflation = 4.0;
 };
 
 /// The analysis verdict for one signal.

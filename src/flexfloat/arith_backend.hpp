@@ -40,9 +40,9 @@
 // for differential testing, via
 //   * env TP_FORCE_EMULATED=1  — whole process (read once at startup);
 //   * ScopedForceEmulated — current thread, until the scope ends (traced
-//     and plain kernel instantiations alike);
-//   * tuning EvalEngine Options::force_emulated — every kernel the engine
-//     runs (applied as a thread scope around trial + golden execution).
+//     and plain kernel instantiations alike; a pool-less tuning EvalEngine
+//     runs every kernel on the calling thread, so a scope around its calls
+//     covers its trials and goldens).
 // ScopedBinary64 — current thread, until the scope ends — resolves EVERY
 // format to the binary64 native backend, so arith, fma and cast return the
 // plain binary64 result without re-rounding it to the operand format. It is

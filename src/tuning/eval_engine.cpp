@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "flexfloat/arith_backend.hpp"
 #include "tuning/quality.hpp"
 
 namespace tp::tuning {
@@ -76,8 +75,7 @@ struct EvalEngine::Flight {
 EvalEngine::EvalEngine(const apps::App& prototype, const Options& options)
     : master_(prototype.clone()),
       memoize_(options.memoize),
-      cache_budget_bytes_(options.cache_budget_bytes),
-      force_emulated_(options.force_emulated) {
+      cache_budget_bytes_(options.cache_budget_bytes) {
     if (options.threads > 1) {
         pool_ = std::make_unique<util::ThreadPool>(options.threads);
     }
@@ -123,63 +121,25 @@ void EvalEngine::release_clone(std::unique_ptr<apps::App> clone) {
     clones_.push_back(std::move(clone));
 }
 
-// NOTE: this is the same single-flight rendezvous as obtain(), specialized
-// for the pinned golden map (waiters resolve to a stable reference into
-// goldens_, and nothing counts as a trial). A protocol change there —
-// flight-erase ordering, failure accounting — almost certainly applies
-// here too.
+const std::vector<double>* EvalEngine::pinned_golden(unsigned input_set) const {
+    const std::lock_guard<std::mutex> lock{cache_mutex_};
+    const auto it = goldens_.find(input_set);
+    return it == goldens_.end() ? nullptr : &it->second;
+}
+
 const std::vector<double>& EvalEngine::golden(unsigned input_set) {
-    std::shared_ptr<Flight> flight;
-    bool runner = false;
-    {
-        const std::lock_guard<std::mutex> lock{cache_mutex_};
-        const auto it = goldens_.find(input_set);
-        if (it != goldens_.end()) return it->second;
-        const auto in_flight = golden_flights_.find(input_set);
-        if (in_flight != golden_flights_.end()) {
-            flight = in_flight->second;
-        } else {
-            golden_flights_.emplace(input_set,
-                                    flight = std::make_shared<Flight>());
-            runner = true;
-        }
-    }
-    if (!runner) {
-        // Wait for the concurrent computation (and rethrow its failure,
-        // if any); the value itself lives pinned in goldens_.
-        (void)flight->result.get();
-        const std::lock_guard<std::mutex> lock{cache_mutex_};
-        return goldens_.at(input_set);
-    }
-    try {
-        std::unique_ptr<apps::App> app = acquire_clone();
-        std::vector<double> reference;
-        {
-            // Thread-scoped, so it covers this run wherever it executes
-            // (caller thread or pool worker — golden() runs on the
-            // requesting thread).
-            const arith::ScopedForceEmulated backend{force_emulated_};
-            reference = app->golden(input_set);
-        }
-        release_clone(std::move(app));
-        bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.golden_runs; });
-        const std::vector<double>* stored = nullptr;
-        {
-            const std::lock_guard<std::mutex> lock{cache_mutex_};
-            stored = &goldens_.try_emplace(input_set, std::move(reference))
-                          .first->second;
-            golden_flights_.erase(input_set);
-        }
-        flight->promise.set_value(CacheValue{});
-        return *stored;
-    } catch (...) {
-        {
-            const std::lock_guard<std::mutex> lock{cache_mutex_};
-            golden_flights_.erase(input_set);
-        }
-        flight->promise.set_exception(std::current_exception());
-        throw;
-    }
+    if (const auto* pinned = pinned_golden(input_set)) return *pinned;
+    // One golden runs at a time: a concurrent first requester waits here
+    // and finds it pinned. A run that throws pins nothing, so each later
+    // requester retries it.
+    const std::lock_guard<std::mutex> golden_lock{golden_mutex_};
+    if (const auto* pinned = pinned_golden(input_set)) return *pinned;
+    std::unique_ptr<apps::App> app = acquire_clone();
+    std::vector<double> reference = app->golden(input_set);
+    release_clone(std::move(app));
+    bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.golden_runs; });
+    const std::lock_guard<std::mutex> lock{cache_mutex_};
+    return goldens_.try_emplace(input_set, std::move(reference)).first->second;
 }
 
 double EvalEngine::output_error(unsigned input_set, apps::TypeConfig config) {
@@ -210,42 +170,28 @@ sim::RunReport EvalEngine::report(unsigned input_set,
 EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key) {
     const bool costing = key.kind == CacheKey::Kind::Report;
     // A quality trial's golden comes first (golden() runs it on this thread
-    // if need be, locking only around its own bookkeeping), so the run
-    // never holds two clones.
+    // if need be), so the run never holds two clones.
     const std::vector<double>* reference =
         costing ? nullptr : &golden(key.input_set);
     CacheValue value;
     std::vector<double> output;
-    {
-        // Thread-scoped backend override: execute() always runs the kernel
-        // on the calling thread (pool tasks call it from the worker), so
-        // the scope pins exactly this run — and nothing else — to the
-        // emulated backend when the engine option asks for it.
-        const arith::ScopedForceEmulated backend{force_emulated_};
-        std::unique_ptr<apps::App> app = acquire_clone();
-        app->prepare(key.input_set);
-        if (costing) {
-            // Traced in cost mode: the platform prices the run as it
-            // executes.
-            sim::TpContext ctx{sim::TpContext::Costing{.simd = key.simd}};
-            output = app->run(ctx, key.config);
-            value.report =
-                std::make_shared<const sim::RunReport>(ctx.take_report());
-        } else {
-            sim::TpContext ctx{sim::TpContext::Config{.trace = false}};
-            output = app->run(ctx, key.config);
-        }
-        release_clone(std::move(app));
-    }
-    bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.kernel_runs; });
+    std::unique_ptr<apps::App> app = acquire_clone();
+    app->prepare(key.input_set);
     if (costing) {
-        // Tracing does not change the arithmetic, so this output's error
-        // also serves future quality trials of the same binding — but only
-        // against a golden some trial already pinned: no report runs one.
-        const std::lock_guard<std::mutex> lock{cache_mutex_};
-        const auto pinned = goldens_.find(key.input_set);
-        if (pinned != goldens_.end()) reference = &pinned->second;
+        // Traced in cost mode: the platform prices the run as it executes.
+        sim::TpContext ctx{sim::TpContext::Costing{.simd = key.simd}};
+        output = app->run(ctx, key.config);
+        value.report = std::make_shared<const sim::RunReport>(ctx.take_report());
+    } else {
+        sim::TpContext ctx{sim::TpContext::Config{.trace = false}};
+        output = app->run(ctx, key.config);
     }
+    release_clone(std::move(app));
+    bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.kernel_runs; });
+    // Tracing does not change the arithmetic, so a report's output error
+    // also serves future quality trials of the same binding — but only
+    // against a golden some trial already pinned: no report runs one.
+    if (costing) reference = pinned_golden(key.input_set);
     if (reference != nullptr) {
         value.error = tuning::output_error(*reference, output);
     }
@@ -277,8 +223,10 @@ EvalEngine::CacheValue EvalEngine::obtain(const CacheKey& key) {
             }
         }
     }
-    // Locks are taken sequentially, never nested — the engine has no lock
-    // ordering to get wrong.
+    // obtain() takes its locks one at a time, never nested. The engine's
+    // one nesting is golden(), which holds golden_mutex_ while it takes the
+    // cache, clone and stats locks; nothing takes golden_mutex_ while
+    // holding another engine lock.
     if (ready.has_value()) {
         bump(stats_mutex_, stats_, [](EvalStats& s) { ++s.cache_hits; });
         return std::move(*ready);

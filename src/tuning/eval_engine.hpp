@@ -178,14 +178,6 @@ public:
         /// count against the budget. Eviction only costs re-runs: results
         /// stay bit-identical in any eviction state.
         std::size_t cache_budget_bytes = 0;
-        /// Pin every kernel (trials and goldens) this engine runs to the
-        /// emulated arithmetic backend — applied as a thread-scoped
-        /// override around each execution, so it also covers pool
-        /// workers. Results are bit-identical to the native fast path by
-        /// the backend contract (differential-testing knob; the env
-        /// TP_FORCE_EMULATED reaches the same state process-wide). See
-        /// flexfloat/arith_backend.hpp.
-        bool force_emulated = false;
     };
 
     /// Snapshots `prototype` (one clone) — the engine never mutates or
@@ -205,10 +197,11 @@ public:
     /// threads <= 1 (serial path).
     [[nodiscard]] util::ThreadPool* pool() noexcept { return pool_.get(); }
 
-    /// Binary64 reference output for `input_set`, computed once
-    /// (concurrent first requests are single-flighted). The returned
-    /// reference stays valid for the engine's lifetime — goldens are
-    /// pinned: neither clear_cache() nor the LRU budget touches them.
+    /// Binary64 reference output for `input_set`, computed once under a
+    /// lock (concurrent first requests wait for it; a run that throws pins
+    /// nothing, so the next request retries). The returned reference stays
+    /// valid for the engine's lifetime — goldens are pinned: neither
+    /// clear_cache() nor the LRU budget touches them.
     const std::vector<double>& golden(unsigned input_set);
 
     /// Relative error (tuning/quality.hpp output_error) of the untraced
@@ -301,6 +294,10 @@ private:
 
     void check_config(const apps::TypeConfig& config) const;
 
+    /// The set's pinned golden, or null when none is pinned yet.
+    [[nodiscard]] const std::vector<double>* pinned_golden(
+        unsigned input_set) const;
+
     [[nodiscard]] std::unique_ptr<apps::App> acquire_clone();
     void release_clone(std::unique_ptr<apps::App> clone);
 
@@ -325,15 +322,15 @@ private:
     std::unique_ptr<apps::App> master_; // immutable after construction
     bool memoize_ = true;
     std::size_t cache_budget_bytes_ = 0;
-    bool force_emulated_ = false;
     std::unique_ptr<util::ThreadPool> pool_;
 
     std::mutex clones_mutex_;
     std::vector<std::unique_ptr<apps::App>> clones_;
 
+    /// Held while a golden runs; taken before cache_mutex_, never after.
+    std::mutex golden_mutex_;
     mutable std::mutex cache_mutex_;
     std::map<unsigned, std::vector<double>> goldens_; // pinned, node-stable
-    std::map<unsigned, std::shared_ptr<Flight>> golden_flights_;
     std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
     std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_;
     std::list<const CacheKey*> lru_; // front = most recently used

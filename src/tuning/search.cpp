@@ -60,8 +60,8 @@ public:
             elements_.push_back(spec.elements);
         }
         validate_request();
-        if (options_.static_bounds) resolve_static_bounds();
         validate_warm_start();
+        if (options_.static_bounds) resolve_static_bounds();
         // Pre-warm the goldens serially so pool workers only ever read them.
         for (unsigned set : options.input_sets) (void)engine_.golden(set);
     }
@@ -124,34 +124,25 @@ private:
 
     /// Folds the static analysis' sound lower bounds into the warm start
     /// (SearchOptions::static_bounds). The analysis runs on a private
-    /// clone (it clobbers the prepared workload) and costs no trials.
+    /// clone (it clobbers the prepared workload) and costs no trials. A
+    /// caller's warm start, already validated, keeps its seed, the probes'
+    /// ceiling: each derived bound is capped at it and combines with the
+    /// caller's lower bound by max.
     void resolve_static_bounds() {
         const std::unique_ptr<apps::App> app = engine_.prototype().clone();
-        const WarmStart derived = analysis::derive_warm_start(
+        WarmStart derived = analysis::derive_warm_start(
             *app, options_.epsilon, options_.input_sets, options_.type_system);
         options_.static_bounds = false;
         if (!options_.warm_start) {
-            options_.warm_start = derived;
+            options_.warm_start = std::move(derived);
             return;
         }
         WarmStart& warm = *options_.warm_start;
-        if (warm.lower_bounds.empty()) {
-            warm.lower_bounds = derived.lower_bounds;
-        } else if (warm.lower_bounds.size() == derived.lower_bounds.size()) {
-            for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
-                warm.lower_bounds[i] =
-                    std::max(warm.lower_bounds[i], derived.lower_bounds[i]);
-            }
-        }
-        // An upper bound below a derived lower contradicts soundness only
-        // apparently (the caller's bound wins the probe clamp); keep the
-        // pair consistent so validation stays happy.
-        if (!warm.upper_bounds.empty() &&
-            warm.upper_bounds.size() == warm.lower_bounds.size()) {
-            for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
-                warm.lower_bounds[i] =
-                    std::min(warm.lower_bounds[i], warm.upper_bounds[i]);
-            }
+        warm.lower_bounds.resize(derived.lower_bounds.size(), kMinPrecisionBits);
+        for (std::size_t i = 0; i < warm.lower_bounds.size(); ++i) {
+            warm.lower_bounds[i] =
+                std::max(warm.lower_bounds[i],
+                         std::min(derived.lower_bounds[i], warm.seed_bits[i]));
         }
     }
 
@@ -179,30 +170,18 @@ private:
                     std::to_string(kMaxPrecisionBits) + "]");
             }
         }
-        for (const auto* bounds : {&warm.lower_bounds, &warm.upper_bounds}) {
-            if (!bounds->empty() && bounds->size() != n) {
-                throw std::invalid_argument(
-                    "WarmStart bounds: expected empty or one entry per "
-                    "signal (" + std::to_string(n) + "), got " +
-                    std::to_string(bounds->size()));
-            }
-            for (const int bits : *bounds) {
-                if (!in_lattice(bits)) {
-                    throw std::invalid_argument(
-                        "WarmStart bound " + std::to_string(bits) +
-                        " outside [" + std::to_string(kMinPrecisionBits) +
-                        ", " + std::to_string(kMaxPrecisionBits) + "]");
-                }
-            }
+        if (!warm.lower_bounds.empty() && warm.lower_bounds.size() != n) {
+            throw std::invalid_argument(
+                "WarmStart::lower_bounds: expected empty or one entry per "
+                "signal (" + std::to_string(n) + "), got " +
+                std::to_string(warm.lower_bounds.size()));
         }
-        if (!warm.lower_bounds.empty() && !warm.upper_bounds.empty()) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (warm.lower_bounds[i] > warm.upper_bounds[i]) {
-                    throw std::invalid_argument(
-                        "WarmStart bounds for " + names_[i] + " are empty: [" +
-                        std::to_string(warm.lower_bounds[i]) + ", " +
-                        std::to_string(warm.upper_bounds[i]) + "]");
-                }
+        for (const int bits : warm.lower_bounds) {
+            if (!in_lattice(bits)) {
+                throw std::invalid_argument(
+                    "WarmStart::lower_bounds entry " + std::to_string(bits) +
+                    " outside [" + std::to_string(kMinPrecisionBits) + ", " +
+                    std::to_string(kMaxPrecisionBits) + "]");
             }
         }
     }
@@ -219,12 +198,6 @@ private:
         return warm() && !options_.warm_start->lower_bounds.empty()
                    ? options_.warm_start->lower_bounds[i]
                    : kMinPrecisionBits;
-    }
-
-    int upper_bound_of(std::size_t i) const {
-        return warm() && !options_.warm_start->upper_bounds.empty()
-                   ? options_.warm_start->upper_bounds[i]
-                   : kMaxPrecisionBits;
     }
 
     /// The interned per-signal binding a precision vector denotes. With
@@ -301,12 +274,11 @@ private:
         // Warm start: the seed caps where the bisection starts (a search
         // at a looser requirement than the seed's provenance never needs
         // more precision than the seed, by quality monotonicity in
-        // epsilon), and the explicit feasibility bounds clamp the range
-        // further. The cold probe would bisect [kMinPrecisionBits,
-        // original]; every step the clamps remove is booked as skipped.
+        // epsilon), and the lower bound raises its floor. The cold probe
+        // would bisect [kMinPrecisionBits, original]; every step the
+        // clamps remove is booked as skipped.
         const int lo_clamped = std::max(kMinPrecisionBits, lower_bound_of(i));
-        const int hi_clamped =
-            std::min({original, upper_bound_of(i), seed_of(i)});
+        const int hi_clamped = std::min(original, seed_of(i));
         if (lo_clamped > hi_clamped || lo_clamped >= original) {
             // The bounds pin the signal at its current value: no trial to
             // submit, the whole cold range is skipped.
@@ -483,9 +455,6 @@ WarmStart warm_start_from(const TuningResult& result) {
     for (const SignalResult& sr : result.signals) {
         warm.seed_bits.push_back(sr.precision_bits);
     }
-    // Monotonicity bound: a looser requirement never needs more precision
-    // than the seed's, so the seed doubles as the probe ceiling.
-    warm.upper_bounds = warm.seed_bits;
     return warm;
 }
 

@@ -76,10 +76,10 @@
 //     any thread count, cache state, priority, or admission order. A warm
 //     start changes WHICH trials are submitted, never the search's
 //     structure: the seed caps where each probe's bisection starts
-//     (instead of kMaxPrecisionBits), the per-signal feasibility bounds
-//     clamp the range further, and probes elide the closing verification
-//     when its outcome is exactly implied by a trial the same bisection
-//     already ran. program_runs still counts trials SUBMITTED and is
+//     (instead of kMaxPrecisionBits), the per-signal lower bounds raise
+//     its floor, and probes elide the closing verification when its
+//     outcome is exactly implied by a trial the same bisection already
+//     ran. program_runs still counts trials SUBMITTED and is
 //     deterministic in its own right — smaller than the cold search's;
 //     the steps the clamps removed and the elided repeats are visible in
 //     EvalStats::trials_skipped_by_bounds (tuning/eval_engine.hpp). The
@@ -90,10 +90,10 @@
 //     seed from a search at a TIGHTER epsilon (quality monotonicity in
 //     epsilon makes its feasibility exact, the basis of sweep_search's
 //     chaining) the tuned per-signal precisions track the independent
-//     search's (asserted per app in bench_eval_engine's
-//     sweep_warm_start gates). A warm-started search ends with a
-//     monotone join: if the pointwise min of the result and the seed
-//     verifies on every input set, it becomes the result — the min only
+//     search's (asserted per app by the conformance battery's
+//     WarmChainedSweepIsMonotoneFrugalAndFeasible). A warm-started search
+//     ends with a monotone join: if the pointwise min of the result and the
+//     seed verifies on every input set, it becomes the result — the min only
 //     lowers precisions, and it is what keeps a chained sweep's
 //     per-signal minima ordered across epsilons even where independent
 //     greedy searches trade signals off differently per requirement. A
@@ -117,25 +117,25 @@ namespace tp::tuning {
 class EvalEngine;
 
 /// An optional warm-start binding for distributed_search: where the
-/// search begins and how far each per-signal probe may range. All three
+/// search begins and how far each per-signal probe may range. Both
 /// vectors are in SignalId (declaration) order and validated against the
 /// app's SignalTable size before any trial runs.
 struct WarmStart {
-    /// Per-signal starting precision bits: each signal's first probe
-    /// bisects [kMinPrecisionBits, seed] instead of the full lattice.
-    /// Meaningful seeds meet the request's epsilon on every input set —
-    /// a TuningResult at a tighter epsilon (exactly feasible, by quality
-    /// monotonicity in epsilon), or a saved config from a previous run
+    /// Per-signal starting precision bits, the ceiling of every probe's
+    /// bisection: each signal's first probe bisects [kMinPrecisionBits,
+    /// seed] instead of the full lattice. Meaningful seeds meet the
+    /// request's epsilon on every input set — a TuningResult at a tighter
+    /// epsilon (exactly feasible, by quality monotonicity in epsilon), or
+    /// a saved config from a previous run
     /// (config_io::read_warm_start_seed). A seed below a signal's true
     /// minimum only costs the probe it clamps (the closing verification
     /// rejects it); the result still meets the requirement.
     std::vector<int> seed_bits;
-    /// Optional per-signal feasibility bounds clamping every probe's
-    /// binary-search range to [lower, upper]; empty means unbounded
-    /// ([kMinPrecisionBits, kMaxPrecisionBits]). Steps a clamp removes
-    /// from a probe are counted in EvalStats::trials_skipped_by_bounds.
+    /// Optional per-signal feasibility lower bounds, the floor of every
+    /// probe's bisection; empty means kMinPrecisionBits. Steps the seed or
+    /// a bound removes from a probe are counted in
+    /// EvalStats::trials_skipped_by_bounds.
     std::vector<int> lower_bounds;
-    std::vector<int> upper_bounds;
 
     friend bool operator==(const WarmStart&, const WarmStart&) = default;
 };
@@ -157,13 +157,14 @@ struct SearchOptions {
     std::optional<WarmStart> warm_start{};
     /// Run the static precision-dataflow analysis
     /// (analysis/derive_bounds.hpp) before the first trial and fold its
-    /// sound per-signal lower bounds into the warm start: seeds and upper
-    /// bounds are untouched (added to warm_start's if one is set, where
-    /// lower bounds combine by max). Costs |input_sets| shadow reference
-    /// executions and no trials; by the analysis' soundness contract the
-    /// TuningResult's signals are bit-identical to the unbounded search's
-    /// — only program_runs shrinks, the pruned bisection steps showing up
-    /// in EvalStats::trials_skipped_by_bounds.
+    /// sound per-signal lower bounds into the warm start: seeds are
+    /// untouched (with a warm_start set, each derived bound is capped at
+    /// its seed and combines with its lower bound by max). Costs
+    /// |input_sets| shadow reference executions and no trials; by the
+    /// analysis' soundness contract the TuningResult's signals are
+    /// bit-identical to the unbounded search's — only program_runs
+    /// shrinks, the pruned bisection steps showing up in
+    /// EvalStats::trials_skipped_by_bounds.
     bool static_bounds = false;
 };
 
@@ -219,9 +220,10 @@ struct TuningResult {
                                               const SearchOptions& options);
 
 /// The warm start a completed search induces for a LOOSER requirement:
-/// seed and upper bounds both at the result's per-signal bits. Quality is
-/// monotone in epsilon — a config meeting a tighter epsilon meets every
-/// looser one — so the seed is feasible there by construction.
+/// seeded at the result's per-signal bits. Quality is monotone in
+/// epsilon — a config meeting a tighter epsilon meets every looser one —
+/// so the seed is feasible there by construction, and no probe needs to
+/// reach above it.
 [[nodiscard]] WarmStart warm_start_from(const TuningResult& result);
 
 /// An epsilon sweep with cross-epsilon warm-starting: one

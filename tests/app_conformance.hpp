@@ -400,7 +400,8 @@ TEST_P(AppConformanceTest, EngineGoldenMatchesAppGoldenAndIsPinned) {
 // Cold cache, warm cache, disabled cache and the threads=4 path must all
 // yield bit-identical TuningResults, program_runs included, with exact
 // EvalStats at any thread count (the cache-coherent determinism contract,
-// tuning/search.hpp).
+// tuning/search.hpp); the warm and disabled caches also agree at the
+// paper's other two epsilons.
 TEST_P(AppConformanceTest, SearchIsCacheCoherentAndThreadCountInvariant) {
     const auto app = this->app();
     const auto options = conformance_search_options();
@@ -430,6 +431,17 @@ TEST_P(AppConformanceTest, SearchIsCacheCoherentAndThreadCountInvariant) {
 
     // Counters are EXACT at any thread count (single-flight execution).
     EXPECT_EQ(parallel.stats(), cached.stats());
+
+    // The paper's other two requirements, on the engine warmed by the
+    // searches above: a cached error serves every epsilon.
+    for (const double epsilon : {1e-3, 1e-1}) {
+        auto at = options;
+        at.epsilon = epsilon;
+        expect_identical_results(distributed_search(cached, at),
+                                 distributed_search(uncached, at),
+                                 GetParam() + ": warm vs uncached at epsilon " +
+                                     std::to_string(epsilon));
+    }
 }
 
 // Cross-epsilon warm-starting (tuning/search.hpp): the chained sweep's

@@ -694,7 +694,7 @@ AppAnalysis analyze(apps::App& app, double epsilon,
         }
         {
             std::vector<StaticRange> ranges = static_signal_ranges_at_uniform(
-                model, flow, kMaxPrecisionBits, options.range_inflation);
+                model, flow, kMaxPrecisionBits, analysis::kRangeInflation);
             for (std::size_t s = 0; s < S; ++s) {
                 merge_range(result.ranges[s], ranges[s]);
             }
@@ -797,7 +797,7 @@ AppAnalysis analyze(apps::App& app, double epsilon,
                 model_p = clamp_bits(
                     static_cast<int>(
                         std::ceil(std::log2(coeff / quality_budget))) -
-                    options.margin_bits);
+                    analysis::kMarginBits);
             }
             best_floor[s] = std::min(best_floor[s], floor_p);
             best_model[s] = std::min(best_model[s], model_p);

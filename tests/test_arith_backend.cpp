@@ -16,9 +16,9 @@
 //   3. against the softfloat module as an independent correctly-rounding
 //      oracle for the three hardware-mappable formats.
 //
-// On top sit the override-knob semantics (env / thread scope / TpContext
-// config / EvalEngine option) and app-level byte-identity: goldens, kernel
-// outputs and full distributed_search runs on pca and fft must not change
+// On top sit the override-knob semantics (env / thread scope) and
+// app-level byte-identity: goldens, kernel outputs and full
+// distributed_search runs on pca, fft, jacobi, svm and conv must not change
 // by a single bit when the backend is switched.
 
 #include <gtest/gtest.h>
@@ -495,9 +495,8 @@ TEST(BackendOracle, Binary16) { oracle_battery(kBinary16, 1500); }
 // --- the flexfloat layers route through the seam ----------------------------
 
 template <typename Fn>
-std::vector<double> with_backend(bool forced, Fn&& kernel) {
-    std::unique_ptr<tp::arith::ScopedForceEmulated> scope;
-    if (forced) scope = std::make_unique<tp::arith::ScopedForceEmulated>();
+auto with_backend(bool forced, Fn&& kernel) {
+    const tp::arith::ScopedForceEmulated scope{forced};
     return kernel();
 }
 
@@ -586,15 +585,21 @@ TEST(BackendLayers, TpContextConfigKnobBitIdentical) {
 
 // --- app-level byte-identity (golden, outputs, full searches) ---------------
 
+// pca and fft, plus jacobi, svm and conv, the three kernels with the most
+// work per run. Engines here are pool-less, so every kernel they run,
+// goldens included, runs on the calling thread: a thread scope around a
+// call pins all of it to the emulated backend.
+constexpr const char* kBackendApps[] = {"pca", "fft", "jacobi", "svm", "conv"};
+
 TEST(BackendApps, GoldenAndOutputsByteIdentical) {
-    for (const char* name : {"pca", "fft"}) {
+    for (const char* name : kBackendApps) {
         const auto app = tp::apps::make_app(name);
         tp::tuning::EvalEngine fast{*app, tp::tuning::EvalEngine::Options{}};
-        tp::tuning::EvalEngine slow{
-            *app, tp::tuning::EvalEngine::Options{.force_emulated = true}};
+        tp::tuning::EvalEngine slow{*app, tp::tuning::EvalEngine::Options{}};
 
         const std::vector<double>& golden_fast = fast.golden(0);
-        const std::vector<double>& golden_slow = slow.golden(0);
+        const std::vector<double> golden_slow =
+            with_backend(true, [&slow] { return slow.golden(0); });
         ASSERT_EQ(golden_fast.size(), golden_slow.size()) << name;
         for (std::size_t i = 0; i < golden_fast.size(); ++i) {
             EXPECT_EQ(bits_of(golden_fast[i]), bits_of(golden_slow[i]))
@@ -617,24 +622,23 @@ TEST(BackendApps, GoldenAndOutputsByteIdentical) {
                 EXPECT_EQ(bits_of(out_fast[i]), bits_of(out_slow[i]))
                     << name << "/" << format_name(format) << " element " << i;
             }
-            EXPECT_EQ(bits_of(fast.output_error(0, config)),
-                      bits_of(slow.output_error(0, config)))
+            const double error_slow = with_backend(
+                true, [&slow, &config] { return slow.output_error(0, config); });
+            EXPECT_EQ(bits_of(fast.output_error(0, config)), bits_of(error_slow))
                 << name << "/" << format_name(format) << " error";
         }
     }
 }
 
-TEST(BackendApps, FullSearchByteIdenticalOnPcaAndFft) {
-    for (const char* name : {"pca", "fft"}) {
+TEST(BackendApps, FullSearchByteIdentical) {
+    for (const char* name : kBackendApps) {
         const auto app = tp::apps::make_app(name);
-        const tp::tuning::SearchOptions options; // the full default search
-        tp::tuning::EvalEngine fast{*app, tp::tuning::EvalEngine::Options{}};
-        const tp::tuning::TuningResult native =
-            tp::tuning::distributed_search(fast, options);
-        tp::tuning::EvalEngine slow{
-            *app, tp::tuning::EvalEngine::Options{.force_emulated = true}};
-        const tp::tuning::TuningResult emulated =
-            tp::tuning::distributed_search(slow, options);
+        // The full default search, on a fresh pool-less engine per call.
+        const auto search = [&app] {
+            return tp::tuning::distributed_search(*app, tp::tuning::SearchOptions{});
+        };
+        const tp::tuning::TuningResult native = with_backend(false, search);
+        const tp::tuning::TuningResult emulated = with_backend(true, search);
         // TuningResult::operator== is the determinism contract's bit-identity
         // predicate: per-signal precisions, bindings and trial counts.
         EXPECT_TRUE(native == emulated) << name;

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <latch>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -257,6 +260,45 @@ TEST(EvalEngine, ConcurrentGoldenRequestsComputeOnce) {
     }
     for (std::thread& caller : callers) caller.join();
     for (const auto* golden : goldens) EXPECT_EQ(golden, goldens[0]);
+    EXPECT_EQ(engine.stats().golden_runs, 1u);
+}
+
+/// A one-signal app whose prepare() throws on its first call. The failure
+/// budget is shared by every clone, so it fails once per engine however
+/// the engine clones it.
+class FailsOnceApp final : public tp::apps::App {
+public:
+    FailsOnceApp() : App({{"x", 1}}) {}
+    [[nodiscard]] std::string_view name() const override { return "fails_once"; }
+    [[nodiscard]] std::unique_ptr<App> clone() const override {
+        return std::make_unique<FailsOnceApp>(*this);
+    }
+    void prepare(unsigned input_set) override {
+        if (failures_->fetch_sub(1) > 0) throw std::runtime_error{"prepare"};
+        input_set_ = input_set;
+    }
+    std::vector<double> run(tp::sim::TpContext&, const TypeConfig&) override {
+        return {1.0 + input_set_};
+    }
+
+private:
+    std::shared_ptr<std::atomic<int>> failures_ =
+        std::make_shared<std::atomic<int>>(1);
+    unsigned input_set_ = 0;
+};
+
+// A golden run that throws pins nothing and counts nothing: the next
+// request runs it again, and the result is then pinned like any other.
+TEST(EvalEngine, FailedGoldenStoresNothingAndIsRetried) {
+    const FailsOnceApp app;
+    EvalEngine engine{app, EvalEngine::Options{}};
+    EXPECT_THROW((void)engine.golden(0), std::runtime_error);
+    EXPECT_EQ(engine.stats().golden_runs, 0u);
+
+    const std::vector<double>& golden = engine.golden(0);
+    EXPECT_EQ(golden, std::vector<double>{1.0});
+    EXPECT_EQ(engine.stats().golden_runs, 1u);
+    EXPECT_EQ(&engine.golden(0), &golden);
     EXPECT_EQ(engine.stats().golden_runs, 1u);
 }
 

@@ -349,12 +349,12 @@ TEST(Search, WarmStartIsValidatedAgainstTheSignalTable) {
     tp::tuning::WarmStart bad_bounds;
     bad_bounds.seed_bits.assign(n, 12);
     bad_bounds.lower_bounds.assign(n, 8);
-    bad_bounds.upper_bounds.assign(n, 4); // lower > upper
+    bad_bounds.lower_bounds[0] = tp::kMaxPrecisionBits + 1; // off the lattice
     expect_rejected(bad_bounds);
 
     tp::tuning::WarmStart short_bounds;
     short_bounds.seed_bits.assign(n, 12);
-    short_bounds.upper_bounds.assign(n - 1, 12); // bounds are all-or-none
+    short_bounds.lower_bounds.assign(n - 1, 4); // bounds are all-or-none
     expect_rejected(short_bounds);
 }
 
@@ -399,7 +399,9 @@ TEST(Search, MalformedRequestIsRejectedBeforeAnyRun) {
 // A warm start seeded from a result at the SAME requirement can only
 // remove work: per-signal bits never exceed the cold search's and
 // program_runs shrinks (the clamped bisections and elided verifications
-// are reported, not silently dropped).
+// are reported, not silently dropped). The seed itself caps the probes:
+// seeded at the lattice top, which caps nothing, the search keeps only the
+// elided verifications and submits more trials.
 TEST(Search, WarmStartFromOwnResultIsFrugalAndNoLessPrecise) {
     const auto options = fast_options(1e-2, tp::TypeSystemKind::V2);
     auto cold_app = tp::apps::make_app("pca");
@@ -417,6 +419,14 @@ TEST(Search, WarmStartFromOwnResultIsFrugalAndNoLessPrecise) {
                   cold.signals[i].precision_bits)
             << warm.signals[i].name;
     }
+
+    tp::tuning::WarmStart top_seed;
+    top_seed.seed_bits.assign(cold.signals.size(), tp::kMaxPrecisionBits);
+    auto top_options = options;
+    top_options.warm_start = top_seed;
+    auto top_app = tp::apps::make_app("pca");
+    const auto top = distributed_search(*top_app, top_options);
+    EXPECT_LT(warm.program_runs, top.program_runs);
 }
 
 // sweep_search's chaining is exactly "seed each epsilon with
